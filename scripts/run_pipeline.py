@@ -5,6 +5,7 @@ Writes everything under --out and prints a small expansion/coverage table.
 
 import argparse
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,7 @@ import numpy as np
 from multirate.augment import augment, evenness_report
 from multirate.io import write_dataset, write_episode
 from multirate.model import Method
-from multirate.sim import SimConfig, default_sim_config, run_simulation
-
-from dataclasses import replace
+from multirate.sim import default_sim_config, run_simulation
 
 
 def main() -> int:

@@ -24,24 +24,35 @@ import numpy as np
 
 from .errors import EmptyInput, MixedRatio, ProvenanceMismatch, ValidationFailure
 from .model import (
+    CHANNELS_PER_JOINT,
     AlignedEpisode,
-    AlignedStep,
     AugmentedDataset,
     DatasetManifest,
     Episode,
-    FrameRef,
     Method,
     OffsetSet,
     Provenance,
-    clamp_index,
-    exact_ratio,
-    frame_anchor_index,
+    step_dtype,
 )
 
 
-def compute_ratio(episode: Episode) -> int:
-    """Samples per frame interval for one episode (always an integer >= 1)."""
-    return exact_ratio(episode.leader.rate_hz, episode.frame_streams[0].rate_hz)
+def source_indices(
+    offsets: Sequence[int], ratio: int, frame_count: int, sample_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """High-rate sample index of every (offset, frame) pair.
+
+    Returns int64 arrays `raw` and `clipped` of shape (len(offsets),
+    frame_count): raw[i, k] = k * ratio + offsets[i] is the sample at offset
+    i from frame k's anchor, and clipped pins it into [0, sample_count - 1].
+    """
+    if ratio < 1 or frame_count < 0 or sample_count < 1:
+        raise ValidationFailure(
+            f"bad index args ratio={ratio} frame_count={frame_count} "
+            f"sample_count={sample_count}"
+        )
+    offs = np.asarray(offsets, dtype=np.int64).reshape(-1, 1)
+    raw = np.arange(frame_count, dtype=np.int64) * ratio + offs
+    return raw, np.clip(raw, 0, sample_count - 1)
 
 
 def make_offsets(method: Method, ratio: int) -> OffsetSet:
@@ -61,34 +72,43 @@ def make_offsets(method: Method, ratio: int) -> OffsetSet:
     return OffsetSet(method=method, offsets=tuple(offsets))
 
 
+def _sub_episodes(
+    episode: Episode, offsets: Sequence[int], method: Method
+) -> list[AlignedEpisode]:
+    _, clipped = source_indices(
+        offsets, episode.ratio, episode.frame_count, episode.sample_count
+    )
+    width = episode.joints * CHANNELS_PER_JOINT
+    follower = episode.follower.data.reshape(-1, width)
+    leader = episode.leader.data.reshape(-1, width)
+    subs = []
+    for offset, idx in zip(offsets, clipped):
+        rows = np.empty(episode.frame_count, dtype=step_dtype(episode.joints))
+        rows["source_index"] = idx
+        rows["observation"] = follower[idx]
+        rows["action"] = leader[idx]
+        rows.setflags(write=False)  # AlignedEpisode keeps a read-only array without a copy
+        subs.append(
+            AlignedEpisode(
+                rows=rows,
+                cameras=episode.camera_ids,
+                provenance=Provenance(
+                    source_episode_id=episode.episode_id, method=method, offset=offset
+                ),
+            )
+        )
+    return subs
+
+
 def slice_episode(episode: Episode, offset: int, method: Method) -> AlignedEpisode:
     """Extract one aligned sub-episode at a fixed per-frame offset.
 
-    Frame k pairs with high-rate sample clamp(k * R + offset); the follower
-    sample becomes the observation, the leader sample the action, both
-    flattened joint-major to length 3 * joints.  The result always has
+    Frame k pairs with high-rate sample clip(k * R + offset, 0, T - 1); the
+    follower sample becomes the observation, the leader sample the action,
+    both flattened joint-major to length 3 * joints.  The result always has
     exactly frame_count steps regardless of clamping.
     """
-    ratio = compute_ratio(episode)
-    t_len = episode.sample_count
-    cams = episode.camera_ids
-    steps = []
-    for k in range(episode.frame_count):
-        idx = clamp_index(frame_anchor_index(k, ratio) + offset, t_len)
-        steps.append(
-            AlignedStep(
-                frame_refs=tuple(FrameRef(camera_id=c, seq=k) for c in cams),
-                observation=episode.follower.data[idx].reshape(-1),
-                action=episode.leader.data[idx].reshape(-1),
-                source_index=idx,
-            )
-        )
-    return AlignedEpisode(
-        steps=tuple(steps),
-        provenance=Provenance(
-            source_episode_id=episode.episode_id, method=method, offset=offset
-        ),
-    )
+    return _sub_episodes(episode, (offset,), method)[0]
 
 
 def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
@@ -101,17 +121,15 @@ def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
     episodes = list(episodes)
     if not episodes:
         raise EmptyInput("augment() needs at least one episode")
-    ratios = sorted({compute_ratio(ep) for ep in episodes})
+    ratios = sorted({ep.ratio for ep in episodes})
     if len(ratios) != 1:
         raise MixedRatio(f"episodes mix rate ratios {ratios}")
     ratio = ratios[0]
     ids = [ep.episode_id for ep in episodes]
     if len(set(ids)) != len(ids):
         raise ValidationFailure(f"duplicate episode ids in batch: {ids}")
-    offsets = make_offsets(method, ratio)
-    subs = [
-        slice_episode(ep, off, method) for ep in episodes for off in offsets.offsets
-    ]
+    offsets = make_offsets(method, ratio).offsets
+    subs = [sub for ep in episodes for sub in _sub_episodes(ep, offsets, method)]
     return AugmentedDataset(
         episodes=tuple(subs),
         manifest=DatasetManifest(
@@ -160,7 +178,7 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
         raise ProvenanceMismatch(
             f"episode {episode.episode_id!r} is not a source of this dataset"
         )
-    ratio = compute_ratio(episode)
+    ratio = episode.ratio
     if dataset.manifest.ratio != ratio:
         raise ProvenanceMismatch(
             f"dataset ratio {dataset.manifest.ratio} != episode ratio {ratio}"
@@ -178,27 +196,24 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
             f"{dataset.manifest.method.value} at ratio {ratio} (expected {list(expected)})"
         )
     t_len = episode.sample_count
-    counts = np.zeros(t_len, dtype=np.int64)
-    clamped = 0
     for sub in subs:
         if sub.step_count != episode.frame_count:
             raise ProvenanceMismatch(
                 f"sub-episode at offset {sub.provenance.offset} has "
                 f"{sub.step_count} steps, episode has {episode.frame_count} frames"
             )
-        for k, step in enumerate(sub.steps):
-            if not 0 <= step.source_index < t_len:
-                raise ProvenanceMismatch(
-                    f"source_index {step.source_index} outside episode of length {t_len}"
-                )
-            counts[step.source_index] += 1
-            raw = frame_anchor_index(k, ratio) + sub.provenance.offset
-            if raw != step.source_index:
-                clamped += 1
+    stored = np.stack([sub.source_index for sub in subs])
+    outside = stored >= t_len
+    if outside.any():
+        raise ProvenanceMismatch(
+            f"source_index {stored[outside][0]} outside episode of length {t_len}"
+        )
+    stored = stored.astype(np.int64)
+    raw, _ = source_indices(got, ratio, episode.frame_count, t_len)
     return CoverageReport(
         source_episode_id=episode.episode_id,
         method=dataset.manifest.method,
         ratio=ratio,
-        counts=counts,
-        clamped_steps=clamped,
+        counts=np.bincount(stored.ravel(), minlength=t_len),
+        clamped_steps=int(np.count_nonzero(stored != raw)),
     )

@@ -15,17 +15,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import augment, evenness_report, make_offsets, slice_episode
+from .augment import augment, evenness_report, make_offsets, slice_episode, source_indices
 from .errors import MultirateError
-from .io import load_manifest, read_dataset, read_episode, write_dataset, write_episode
+from .io import (
+    load_manifest,
+    read_dataset,
+    read_episode,
+    verify_checksums,
+    write_dataset,
+    write_episode,
+)
 from .model import (
     CHANNELS_PER_JOINT,
     AugmentedDataset,
     Episode,
     Method,
     aligned_content_equal,
-    clamp_index,
-    frame_anchor_index,
 )
 from .sim import TRAJECTORY_NAMES, default_sim_config, load_sim_config, run_simulation
 
@@ -102,8 +107,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _find_source_episodes(dataset_dir: Path, extra: list[str]) -> dict[str, Episode]:
-    """Index candidate source episodes by id, nearest directories first."""
+def _find_source_episodes(
+    dataset_dir: Path, extra: list[str], wanted: tuple[str, ...]
+) -> dict[str, Episode]:
+    """Read the episodes whose ids are in `wanted`, nearest directories first."""
     candidates = []
     for raw in extra:
         path = Path(raw)
@@ -128,7 +135,7 @@ def _find_source_episodes(dataset_dir: Path, extra: list[str]) -> dict[str, Epis
         if man.get("kind") != "episode":
             continue
         eid = str(man.get("episode_id"))
-        if eid not in out:
+        if eid in wanted and eid not in out:
             try:
                 out[eid] = read_episode(path)
             except MultirateError:
@@ -159,19 +166,6 @@ class _Checks:
             return False
         self.add(name, "ok", detail or "")
         return True
-
-
-def _expected_counts(episode: Episode, method: Method, ratio: int) -> tuple[np.ndarray, int]:
-    counts = np.zeros(episode.sample_count, dtype=np.int64)
-    clamped = 0
-    for off in make_offsets(method, ratio).offsets:
-        for k in range(episode.frame_count):
-            raw = frame_anchor_index(k, ratio) + off
-            idx = clamp_index(raw, episode.sample_count)
-            counts[idx] += 1
-            if idx != raw:
-                clamped += 1
-    return counts, clamped
 
 
 def _validate_dataset(dataset_dir: Path, args: argparse.Namespace, checks: _Checks) -> None:
@@ -226,7 +220,7 @@ def _validate_dataset(dataset_dir: Path, args: argparse.Namespace, checks: _Chec
 
     checks.run("ordering", _ordering)
 
-    sources = _find_source_episodes(dataset_dir, args.sources)
+    sources = _find_source_episodes(dataset_dir, args.sources, ds.manifest.source_episode_ids)
     located = [eid for eid in ds.manifest.source_episode_ids if eid in sources]
     missing = [eid for eid in ds.manifest.source_episode_ids if eid not in sources]
     if not located:
@@ -259,16 +253,16 @@ def _validate_dataset(dataset_dir: Path, args: argparse.Namespace, checks: _Chec
         for eid in located:
             ep = sources[eid]
             rep = evenness_report(ds, ep)
-            want, want_clamped = _expected_counts(ep, method, ratio)
-            if not np.array_equal(rep.counts, want) or rep.clamped_steps != want_clamped:
+            raw, clipped = source_indices(
+                expected_offsets, ratio, ep.frame_count, ep.sample_count
+            )
+            clamped = raw != clipped
+            want = np.bincount(clipped.ravel(), minlength=ep.sample_count)
+            if not np.array_equal(rep.counts, want) or rep.clamped_steps != clamped.sum():
                 raise MultirateError(f"source {eid}: coverage counts mismatch")
             # indices referenced only without clamping must be hit exactly once
             unclamped_only = np.ones_like(want, dtype=bool)
-            for off in expected_offsets:
-                for k in range(ep.frame_count):
-                    raw = frame_anchor_index(k, ratio) + off
-                    if raw != clamp_index(raw, ep.sample_count):
-                        unclamped_only[clamp_index(raw, ep.sample_count)] = False
+            unclamped_only[clipped[clamped]] = False
             bad = np.nonzero((rep.counts != 1) & unclamped_only & (want > 0))[0]
             if bad.size and method is not Method.DOWNSAMPLE:
                 raise MultirateError(
@@ -281,8 +275,6 @@ def _validate_dataset(dataset_dir: Path, args: argparse.Namespace, checks: _Chec
 
 
 def _checksum_detail(directory: Path, manifest: dict) -> str:
-    from .io import verify_checksums
-
     verify_checksums(directory, manifest)
     return f"{len(manifest.get('files', {}))} files"
 
@@ -345,16 +337,17 @@ def _dataset_stats(ds: AugmentedDataset) -> dict:
     offsets: dict[str, int] = {}
     clamped = 0
     joints = ds.episodes[0].joints
-    rows = []
     for sub in ds.episodes:
         key = str(sub.provenance.offset)
         offsets[key] = offsets.get(key, 0) + 1
-        for k, step in enumerate(sub.steps):
-            raw = frame_anchor_index(k, ds.manifest.ratio) + sub.provenance.offset
-            if raw != step.source_index:
-                clamped += 1
-            rows.append(step.observation)
-    obs = np.stack(rows).reshape(len(rows), joints, CHANNELS_PER_JOINT)
+        # a dataset does not record source lengths, so only `raw` is compared;
+        # a stored index that differs from it was clamped
+        raw, _ = source_indices(
+            (sub.provenance.offset,), ds.manifest.ratio, sub.step_count, 1
+        )
+        clamped += int(np.count_nonzero(sub.source_index.astype(np.int64) != raw[0]))
+    obs = np.concatenate([sub.observation for sub in ds.episodes])
+    obs = obs.reshape(len(obs), joints, CHANNELS_PER_JOINT)
     return {
         "command": "stats",
         "kind": "dataset",
@@ -362,7 +355,7 @@ def _dataset_stats(ds: AugmentedDataset) -> dict:
         "ratio": ds.manifest.ratio,
         "sources": len(ds.manifest.source_episode_ids),
         "sub_episodes": ds.episode_count,
-        "steps": len(rows),
+        "steps": len(obs),
         "joints": joints,
         "clamped_steps": clamped,
         "offsets": offsets,

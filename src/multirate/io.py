@@ -30,17 +30,17 @@ from .errors import (
 )
 from .model import (
     AlignedEpisode,
-    AlignedStep,
     AugmentedDataset,
     CHANNELS_PER_JOINT,
     DatasetManifest,
     Episode,
     FrameRecord,
-    FrameRef,
     FrameStream,
     Method,
     Provenance,
     RobotStream,
+    is_plain_name,
+    step_dtype,
 )
 
 FORMAT_VERSION = 1
@@ -48,7 +48,6 @@ FORMAT_VERSION = 1
 _LEADER_FILE = "leader.f64"
 _FOLLOWER_FILE = "follower.f64"
 _FRAME_REC_HEADER = struct.Struct("<QQ")  # seq, payload length
-_STEP_INDEX = struct.Struct("<Q")
 
 
 def _json_bytes(obj: object) -> bytes:
@@ -136,13 +135,20 @@ def load_manifest(directory: str | Path) -> dict:
     return raw
 
 
-def verify_checksums(directory: str | Path, manifest: dict) -> None:
-    """Check every payload file the manifest declares; raise on any defect."""
+def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
+    """Check every payload file the manifest declares; raise on any defect.
+
+    Returns the verified bytes by file name, so that callers parse exactly
+    the bytes whose checksums matched.
+    """
     directory = Path(directory)
     files = manifest.get("files")
     if not isinstance(files, dict):
         raise ParseFailure(f"{directory}/manifest.json: missing files table")
+    payloads = {}
     for name in sorted(files):
+        if not is_plain_name(name):
+            raise ParseFailure(f"{directory}/manifest.json: file name {name!r} is not plain")
         stamp = files[name]
         path = directory / name
         if not path.is_file():
@@ -155,6 +161,15 @@ def verify_checksums(directory: str | Path, manifest: dict) -> None:
         crc = _crc(data)
         if crc != stamp.get("crc32"):
             raise ChecksumMismatch(f"{path}: crc32 {crc} != declared {stamp.get('crc32')}")
+        payloads[name] = data
+    return payloads
+
+
+def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> tuple[bytes, Path]:
+    """The verified bytes of `name` and its path; undeclared names never reach the disk."""
+    if name not in payloads:
+        raise ParseFailure(f"{directory}/manifest.json: {name} is not declared in files")
+    return payloads[name], directory / name
 
 
 @dataclass(frozen=True)
@@ -231,8 +246,11 @@ def write_episode(episode: Episode, out_dir: str | Path, overwrite: bool = False
     return _publish_dir(Path(out_dir), files, overwrite) / "manifest.json"
 
 
-def _parse_robot(path: Path, sample_count: int, joints: int, rate_hz: int) -> RobotStream:
-    data = path.read_bytes()
+def _parse_robot(
+    payloads: dict[str, bytes], directory: Path, name: str, sample_count: int, joints: int,
+    rate_hz: int,
+) -> RobotStream:
+    data, path = _payload(payloads, directory, name)
     width = joints * CHANNELS_PER_JOINT
     expected = sample_count * width * 8
     if len(data) != expected:
@@ -246,8 +264,10 @@ def _parse_robot(path: Path, sample_count: int, joints: int, rate_hz: int) -> Ro
     return RobotStream(rate_hz=rate_hz, data=arr)
 
 
-def _parse_frames(path: Path, camera_id: str, rate_hz: int, frame_count: int) -> FrameStream:
-    data = path.read_bytes()
+def _parse_frames(
+    payloads: dict[str, bytes], directory: Path, camera_id: str, rate_hz: int, frame_count: int
+) -> FrameStream:
+    data, path = _payload(payloads, directory, f"frames_{camera_id}.bin")
     records = []
     pos = 0
     while pos < len(data):
@@ -275,16 +295,14 @@ def read_episode(in_dir: str | Path) -> Episode:
     raw = load_manifest(in_dir)
     if raw["kind"] != "episode":
         raise ParseFailure(f"{in_dir}: expected kind 'episode', found {raw['kind']!r}")
-    verify_checksums(in_dir, raw)
+    payloads = verify_checksums(in_dir, raw)
     man = EpisodeManifest.from_dict(raw)
-    leader = _parse_robot(in_dir / _LEADER_FILE, man.sample_count, man.joints, man.robot_rate_hz)
-    follower = _parse_robot(
-        in_dir / _FOLLOWER_FILE, man.sample_count, man.joints, man.robot_rate_hz
+    leader, follower = (
+        _parse_robot(payloads, in_dir, name, man.sample_count, man.joints, man.robot_rate_hz)
+        for name in (_LEADER_FILE, _FOLLOWER_FILE)
     )
     streams = tuple(
-        _parse_frames(
-            in_dir / f"frames_{cam}.bin", cam, man.frame_rate_hz, man.frame_count
-        )
+        _parse_frames(payloads, in_dir, cam, man.frame_rate_hz, man.frame_count)
         for cam in man.cameras
     )
     return Episode(
@@ -296,40 +314,17 @@ def read_episode(in_dir: str | Path) -> Episode:
     )
 
 
-def _steps_bytes(sub: AlignedEpisode) -> bytes:
-    parts = []
-    for step in sub.steps:
-        parts.append(_STEP_INDEX.pack(step.source_index))
-        parts.append(np.ascontiguousarray(step.observation, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(step.action, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
 def _parse_steps(
-    path: Path, step_count: int, joints: int, cameras: tuple[str, ...]
-) -> tuple[AlignedStep, ...]:
-    data = path.read_bytes()
-    vec = joints * CHANNELS_PER_JOINT
-    row = _STEP_INDEX.size + 2 * vec * 8
-    if len(data) != step_count * row:
+    payloads: dict[str, bytes], directory: Path, name: str, step_count: int, joints: int
+) -> np.ndarray:
+    data, path = _payload(payloads, directory, name)
+    dtype = step_dtype(joints)
+    if len(data) != step_count * dtype.itemsize:
         raise ValidationFailure(
-            f"{path}: {len(data)} bytes, manifest implies {step_count * row} "
-            f"({step_count} steps of {row} bytes)"
+            f"{path}: {len(data)} bytes, manifest implies {step_count * dtype.itemsize} "
+            f"({step_count} steps of {dtype.itemsize} bytes)"
         )
-    steps = []
-    for k in range(step_count):
-        base = k * row
-        (source_index,) = _STEP_INDEX.unpack_from(data, base)
-        body = np.frombuffer(data, dtype="<f8", count=2 * vec, offset=base + _STEP_INDEX.size)
-        steps.append(
-            AlignedStep(
-                frame_refs=tuple(FrameRef(camera_id=c, seq=k) for c in cameras),
-                observation=body[:vec],
-                action=body[vec:],
-                source_index=source_index,
-            )
-        )
-    return tuple(steps)
+    return np.frombuffer(data, dtype=dtype)
 
 
 def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: bool = False) -> Path:
@@ -338,7 +333,7 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
     entries = []
     for i, sub in enumerate(dataset.episodes):
         name = f"steps-{i:05d}.bin"
-        files[name] = _steps_bytes(sub)
+        files[name] = sub.rows.tobytes()
         entries.append(
             {
                 "file": name,
@@ -346,7 +341,7 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
                 "offset": sub.provenance.offset,
                 "step_count": sub.step_count,
                 "joints": sub.joints,
-                "cameras": [r.camera_id for r in sub.steps[0].frame_refs],
+                "cameras": list(sub.cameras),
             }
         )
     manifest = {
@@ -374,7 +369,7 @@ def read_dataset(in_dir: str | Path) -> AugmentedDataset:
     raw = load_manifest(in_dir)
     if raw["kind"] != "dataset":
         raise ParseFailure(f"{in_dir}: expected kind 'dataset', found {raw['kind']!r}")
-    verify_checksums(in_dir, raw)
+    payloads = verify_checksums(in_dir, raw)
     try:
         method = Method.from_name(str(raw["method"]))
         ratio = int(raw["ratio"])
@@ -385,12 +380,15 @@ def read_dataset(in_dir: str | Path) -> AugmentedDataset:
     subs = []
     for entry in entries:
         try:
-            steps = _parse_steps(
-                in_dir / str(entry["file"]),
+            # only declared names, all plain, are read: path-like names fail here
+            rows = _parse_steps(
+                payloads,
+                in_dir,
+                str(entry["file"]),
                 int(entry["step_count"]),
                 int(entry["joints"]),
-                tuple(entry["cameras"]),
             )
+            cameras = tuple(str(c) for c in entry["cameras"])
             prov = Provenance(
                 source_episode_id=str(entry["source_episode_id"]),
                 method=method,
@@ -398,7 +396,7 @@ def read_dataset(in_dir: str | Path) -> AugmentedDataset:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"{in_dir}/manifest.json: bad episode entry: {exc!r}") from exc
-        subs.append(AlignedEpisode(steps=steps, provenance=prov))
+        subs.append(AlignedEpisode(rows=rows, cameras=cameras, provenance=prov))
     return AugmentedDataset(
         episodes=tuple(subs),
         manifest=DatasetManifest(method=method, ratio=ratio, source_episode_ids=source_ids),

@@ -1,4 +1,4 @@
-"""Core data model: episodes, streams, aligned steps, and index arithmetic.
+"""Core data model: episodes, streams, and aligned sub-episodes.
 
 A demonstration episode carries two high-rate joint streams (leader and
 follower arm) plus one or more low-rate camera frame streams.  Alignment
@@ -9,7 +9,6 @@ chooses which sample via per-frame index offsets.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -52,18 +51,19 @@ def exact_ratio(robot_rate_hz: int, frame_rate_hz: int) -> int:
     return robot_rate_hz // frame_rate_hz
 
 
-def frame_anchor_index(frame_seq: int, ratio: int) -> int:
-    """High-rate index captured at the same instant as frame `frame_seq`."""
-    if frame_seq < 0 or ratio < 1:
-        raise ValidationFailure(f"bad anchor args frame_seq={frame_seq} ratio={ratio}")
-    return frame_seq * ratio
+def is_plain_name(name: str) -> bool:
+    """True when `name` can serve as one file-name component inside a directory."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
 
 
-def clamp_index(index: int, length: int) -> int:
-    """Clamp an index into [0, length - 1]."""
-    if length < 1:
-        raise ValidationFailure(f"cannot clamp into empty range, length={length}")
-    return min(max(index, 0), length - 1)
+def step_dtype(joints: int) -> np.dtype:
+    """One aligned step, laid out exactly as a `steps-*.bin` row (docs/format.md)."""
+    if joints < 1:
+        raise ValidationFailure(f"steps need at least one joint, got {joints}")
+    width = joints * CHANNELS_PER_JOINT
+    return np.dtype(
+        [("source_index", "<u8"), ("observation", "<f8", (width,)), ("action", "<f8", (width,))]
+    )
 
 
 def _as_readonly_f64(data: Any, shape_desc: str, ndim: int) -> np.ndarray:
@@ -74,21 +74,6 @@ def _as_readonly_f64(data: Any, shape_desc: str, ndim: int) -> np.ndarray:
         raise ValidationFailure(f"{shape_desc}: contains non-finite values")
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class JointSample:
-    """One joint at one instant."""
-
-    angle: float
-    velocity: float
-    torque: float
-
-    def __post_init__(self) -> None:
-        for name in ("angle", "velocity", "torque"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValidationFailure(f"JointSample.{name} is not finite: {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +105,6 @@ class RobotStream:
     def joints(self) -> int:
         return self.data.shape[1]
 
-    def sample(self, index: int, joint: int) -> JointSample:
-        a, v, t = self.data[index, joint]
-        return JointSample(float(a), float(v), float(t))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RobotStream):
             return NotImplemented
@@ -151,8 +132,10 @@ class FrameStream:
     records: tuple[FrameRecord, ...]
 
     def __post_init__(self) -> None:
-        if not self.camera_id:
-            raise ValidationFailure("camera_id must be non-empty")
+        if not is_plain_name(self.camera_id):
+            raise ValidationFailure(
+                f"camera_id {self.camera_id!r} must be a non-empty name without path parts"
+            )
         if self.rate_hz < 1:
             raise ValidationFailure(f"frame rate must be >= 1 Hz, got {self.rate_hz}")
         object.__setattr__(self, "records", tuple(self.records))
@@ -285,62 +268,6 @@ class OffsetSet:
 
 
 @dataclass(frozen=True)
-class FrameRef:
-    """Pointer to one frame inside a source episode."""
-
-    camera_id: str
-    seq: int
-
-
-@dataclass(frozen=True, eq=False)
-class AlignedStep:
-    """One training pair: camera frames plus follower observation and leader action.
-
-    Observation and action are flat float64 vectors of length 3 * joints,
-    joint-major: (angle, velocity, torque) for joint 0, then joint 1, ...
-    `source_index` records which high-rate sample supplied the vectors.
-    """
-
-    frame_refs: tuple[FrameRef, ...]
-    observation: np.ndarray
-    action: np.ndarray
-    source_index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frame_refs", tuple(self.frame_refs))
-        obs = _as_readonly_f64(self.observation, "AlignedStep.observation", 1)
-        act = _as_readonly_f64(self.action, "AlignedStep.action", 1)
-        if obs.shape != act.shape:
-            raise ValidationFailure(
-                f"observation shape {obs.shape} != action shape {act.shape}"
-            )
-        if obs.shape[0] < CHANNELS_PER_JOINT or obs.shape[0] % CHANNELS_PER_JOINT != 0:
-            raise ValidationFailure(
-                f"step vectors must have length 3*joints, got {obs.shape[0]}"
-            )
-        if len(self.frame_refs) < 1:
-            raise ValidationFailure("aligned step needs at least one frame ref")
-        if self.source_index < 0:
-            raise ValidationFailure(f"source_index must be >= 0, got {self.source_index}")
-        object.__setattr__(self, "observation", obs)
-        object.__setattr__(self, "action", act)
-
-    @property
-    def joints(self) -> int:
-        return self.observation.shape[0] // CHANNELS_PER_JOINT
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlignedStep):
-            return NotImplemented
-        return (
-            self.frame_refs == other.frame_refs
-            and self.source_index == other.source_index
-            and np.array_equal(self.observation, other.observation)
-            and np.array_equal(self.action, other.action)
-        )
-
-
-@dataclass(frozen=True)
 class Provenance:
     """Where one aligned sub-episode came from."""
 
@@ -351,40 +278,66 @@ class Provenance:
 
 @dataclass(frozen=True, eq=False)
 class AlignedEpisode:
-    """One aligned sub-episode: exactly one step per source frame."""
+    """One aligned sub-episode: exactly one step per source frame.
 
-    steps: tuple[AlignedStep, ...]
+    `rows` is a read-only 1-d array of `step_dtype(joints)`: row k pairs
+    frame seq k of every camera with the follower observation and leader
+    action of high-rate sample `source_index`, both flat float64 vectors of
+    length 3 * joints, joint-major: (angle, velocity, torque) for joint 0,
+    then joint 1, ...
+    """
+
+    rows: np.ndarray
+    cameras: tuple[str, ...]
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if len(self.steps) < 1:
+        rows = np.asarray(self.rows)
+        # one dtype test covers index type, equal obs/act widths and width = 3*joints
+        obs = (rows.dtype.fields or {}).get("observation")
+        width = obs[0].shape if obs else ()
+        joints = width[0] // CHANNELS_PER_JOINT if len(width) == 1 else 0
+        if rows.ndim != 1 or joints < 1 or rows.dtype != step_dtype(joints):
+            raise ValidationFailure(
+                f"rows must be a 1-d array of step_dtype(joints), "
+                f"got {rows.dtype} of shape {rows.shape}"
+            )
+        if rows.shape[0] < 1:
             raise ValidationFailure("aligned episode must hold at least one step")
-        joints = {s.joints for s in self.steps}
-        if len(joints) != 1:
-            raise ValidationFailure(f"steps disagree on joint count: {sorted(joints)}")
-        cams = {tuple(r.camera_id for r in s.frame_refs) for s in self.steps}
-        if len(cams) != 1:
-            raise ValidationFailure("steps disagree on camera ids")
-        for k, step in enumerate(self.steps):
-            if any(r.seq != k for r in step.frame_refs):
-                raise ValidationFailure(
-                    f"step {k} must reference frame seq {k}, got "
-                    f"{[r.seq for r in step.frame_refs]}"
-                )
+        if not (np.isfinite(rows["observation"]).all() and np.isfinite(rows["action"]).all()):
+            raise ValidationFailure("step vectors contain non-finite values")
+        object.__setattr__(self, "cameras", tuple(self.cameras))
+        if len(self.cameras) < 1:
+            raise ValidationFailure("aligned episode needs at least one camera")
+        if rows.flags.writeable:
+            rows = rows.copy()
+            rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def source_index(self) -> np.ndarray:
+        return self.rows["source_index"]
+
+    @property
+    def observation(self) -> np.ndarray:
+        return self.rows["observation"]
+
+    @property
+    def action(self) -> np.ndarray:
+        return self.rows["action"]
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return self.rows.shape[0]
 
     @property
     def joints(self) -> int:
-        return self.steps[0].joints
+        return self.rows.dtype["observation"].shape[0] // CHANNELS_PER_JOINT
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlignedEpisode):
             return NotImplemented
-        return self.provenance == other.provenance and self.steps == other.steps
+        return self.provenance == other.provenance and aligned_content_equal(self, other)
 
 
 def aligned_content_equal(a: AlignedEpisode, b: AlignedEpisode) -> bool:
@@ -397,7 +350,9 @@ def aligned_content_equal(a: AlignedEpisode, b: AlignedEpisode) -> bool:
     return (
         a.provenance.source_episode_id == b.provenance.source_episode_id
         and a.provenance.offset == b.provenance.offset
-        and a.steps == b.steps
+        and a.cameras == b.cameras
+        and a.rows.dtype == b.rows.dtype
+        and np.array_equal(a.rows, b.rows)
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable

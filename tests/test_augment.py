@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from multirate.augment import (
     augment,
-    compute_ratio,
     evenness_report,
     make_offsets,
     slice_episode,
+    source_indices,
 )
 from multirate.errors import (
     EmptyInput,
@@ -73,13 +73,33 @@ def test_make_offsets_rejects_bad_ratio():
         make_offsets(Method.DABI, 0)
 
 
-def test_compute_ratio():
-    assert compute_ratio(make_episode(t_len=100, joints=2, ratio=10)) == 10
-    assert compute_ratio(make_episode(t_len=5, joints=2, ratio=1)) == 1
+def test_episode_ratio():
+    assert make_episode(t_len=100, joints=2, ratio=10).ratio == 10
+    assert make_episode(t_len=5, joints=2, ratio=1).ratio == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(Method)),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(-12, 12),
+)
+def test_source_indices_match_scalar_reference(method, ratio, frame_count, extra):
+    # extra < 0 cuts the recording short of the last anchor, so both ends clamp
+    t_len = max(1, (frame_count - 1) * ratio + 1 + extra)
+    offsets = make_offsets(method, ratio).offsets
+    raw, clipped = source_indices(offsets, ratio, frame_count, t_len)
+    assert raw.dtype == clipped.dtype == np.int64
+    assert raw.shape == clipped.shape == (len(offsets), frame_count)
+    for i, off in enumerate(offsets):
+        for k in range(frame_count):
+            assert raw[i, k] == k * ratio + off
+            assert clipped[i, k] == min(max(k * ratio + off, 0), t_len - 1)
 
 
 def _source_indices(sub):
-    return [s.source_index for s in sub.steps]
+    return sub.source_index.tolist()
 
 
 def test_slice_indices_oracle():
@@ -100,24 +120,22 @@ def test_slice_step_payloads():
     ep = make_episode(t_len=100, joints=3, ratio=10, frame_count=10, cameras=("a", "b"))
     sub = slice_episode(ep, 2, Method.FORWARD)
     assert sub.step_count == ep.frame_count
-    for k, step in enumerate(sub.steps):
-        idx = step.source_index
+    assert sub.cameras == ("a", "b")
+    for k, idx in enumerate(sub.source_index.tolist()):
         assert idx == k * 10 + 2
-        np.testing.assert_array_equal(step.observation, ep.follower.data[idx].reshape(-1))
-        np.testing.assert_array_equal(step.action, ep.leader.data[idx].reshape(-1))
-        assert [r.camera_id for r in step.frame_refs] == ["a", "b"]
-        assert all(r.seq == k for r in step.frame_refs)
+        np.testing.assert_array_equal(sub.observation[k], ep.follower.data[idx].reshape(-1))
+        np.testing.assert_array_equal(sub.action[k], ep.leader.data[idx].reshape(-1))
 
 
 def test_slice_observation_is_joint_major():
     ep = make_episode(t_len=10, joints=2, ratio=1)
     sub = slice_episode(ep, 0, Method.DOWNSAMPLE)
-    step = sub.steps[3]
+    observation = sub.observation[3]
     follower = ep.follower.data[3]
-    assert step.observation[0] == follower[0, 0]  # joint 0 angle
-    assert step.observation[1] == follower[0, 1]  # joint 0 velocity
-    assert step.observation[2] == follower[0, 2]  # joint 0 torque
-    assert step.observation[3] == follower[1, 0]  # joint 1 angle
+    assert observation[0] == follower[0, 0]  # joint 0 angle
+    assert observation[1] == follower[0, 1]  # joint 0 velocity
+    assert observation[2] == follower[0, 2]  # joint 0 torque
+    assert observation[3] == follower[1, 0]  # joint 1 angle
 
 
 @pytest.mark.parametrize(
@@ -212,9 +230,9 @@ def test_augment_structure_property(ep, method):
     for sub, off in zip(ds.episodes, offs):
         assert sub.provenance.offset == off
         assert sub.step_count == ep.frame_count
-        for k, step in enumerate(sub.steps):
+        for k, index in enumerate(sub.source_index.tolist()):
             raw = k * ep.ratio + off
-            assert step.source_index == min(max(raw, 0), t_len - 1)
+            assert index == min(max(raw, 0), t_len - 1)
 
 
 @settings(max_examples=60, deadline=None)

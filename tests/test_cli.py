@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from multirate import cli
 from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
 from multirate.augment import augment
@@ -197,6 +198,26 @@ def test_validate_reports_tampered_steps(tmp_path, capsys):
     rc = main(["validate", str(out)])
     assert rc == 1
     assert "re-derivation" in capsys.readouterr().out
+
+
+def test_validate_reads_only_source_episodes(tmp_path, monkeypatch, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    held_out = make_episode(t_len=100, joints=2, ratio=10, episode_id="held-out", seed=7)
+    write_episode(held_out, root / held_out.episode_id)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root / "ep-0"), str(root / "ep-1"),
+                 "--method", "dabi", "--out", str(out)]) == 0
+    read = []
+    original = cli.read_episode
+
+    def counting(path):
+        read.append(Path(path).name)
+        return original(path)
+
+    monkeypatch.setattr(cli, "read_episode", counting)
+    assert main(["validate", str(out)]) == 0
+    assert sorted(read) == ["ep-0", "ep-1"]
+    assert "re-derived 20 sub-episodes from 2 sources" in capsys.readouterr().out
 
 
 def test_validate_missing_manifest(tmp_path, capsys):

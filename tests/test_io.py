@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from multirate.io import (
     load_manifest,
     read_dataset,
     read_episode,
+    verify_checksums,
     write_dataset,
     write_episode,
 )
@@ -253,3 +255,87 @@ def test_failed_write_leaves_no_target(tmp_path):
     assert tree_bytes(target) == before
     assert not (tmp_path / "out" / "ep.tmp").exists()
     assert not (tmp_path / "out" / "ep.lock").exists()
+
+def test_steps_file_matches_documented_row_layout(tmp_path, episode):
+    """Rebuild each steps file from docs/format.md: u64 index, obs f64s, act f64s."""
+    ds = augment([episode], Method.DABI)
+    d = write_dataset(ds, tmp_path / "ds").parent
+    ratio, t_len = episode.ratio, episode.sample_count
+    for i, sub in enumerate(ds.episodes):
+        want = b""
+        for k in range(episode.frame_count):
+            idx = min(max(k * ratio + sub.provenance.offset, 0), t_len - 1)
+            want += struct.pack("<Q", idx)
+            want += episode.follower.data[idx].astype("<f8").tobytes()
+            want += episode.leader.data[idx].astype("<f8").tobytes()
+        assert (d / f"steps-{i:05d}.bin").read_bytes() == want
+
+
+def test_verify_checksums_returns_verified_bytes(tmp_path, episode):
+    d = write_dataset(augment([episode], Method.FORWARD), tmp_path / "ds").parent
+    payloads = verify_checksums(d, load_manifest(d))
+    assert payloads == {name: (d / name).read_bytes() for name in load_manifest(d)["files"]}
+
+
+def test_readers_read_each_payload_once(tmp_path, episode, monkeypatch):
+    ep_dir = write_episode(episode, tmp_path / "ep").parent
+    ds_dir = write_dataset(augment([episode], Method.DABI), tmp_path / "ds").parent
+    reads = []
+    original = Path.read_bytes
+
+    def counting(self):
+        reads.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    read_episode(ep_dir)
+    assert sorted(reads) == sorted(load_manifest(ep_dir)["files"])
+    reads.clear()
+    read_dataset(ds_dir)
+    assert sorted(reads) == sorted(load_manifest(ds_dir)["files"])
+
+
+def _rewrite(manifest: Path, edit) -> Path:
+    raw = json.loads(manifest.read_text())
+    edit(raw)
+    manifest.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../steps-00000.bin", "sub/x.bin", "a\\b.bin"])
+def test_path_like_file_name_is_rejected(tmp_path, episode, name):
+    """A files key that is not a plain name never reaches the file system."""
+    manifest = write_dataset(augment([episode], Method.DOWNSAMPLE), tmp_path / "ds")
+
+    def edit(raw):
+        raw["files"][name] = raw["files"].pop("steps-00000.bin")
+        raw["episodes"][0]["file"] = name
+
+    with pytest.raises(ParseFailure):
+        read_dataset(_rewrite(manifest, edit))
+
+
+@pytest.mark.parametrize("name", ["../ep/leader.f64", "manifest.json", "stray.bin"])
+def test_undeclared_entry_file_is_rejected(tmp_path, episode, name):
+    """An entry may only name a file whose checksum the manifest declares."""
+    write_episode(episode, tmp_path / "ep")
+    manifest = write_dataset(augment([episode], Method.DOWNSAMPLE), tmp_path / "ds")
+    stray = manifest.parent / "stray.bin"
+    stray.write_bytes((manifest.parent / "steps-00000.bin").read_bytes())
+
+    def edit(raw):
+        raw["episodes"][0]["file"] = name
+
+    with pytest.raises(ParseFailure):
+        read_dataset(_rewrite(manifest, edit))
+
+
+def test_episode_camera_without_declared_frames_is_rejected(tmp_path, episode):
+    manifest = write_episode(episode, tmp_path / "ep")
+    (manifest.parent / "frames_c.bin").write_bytes((manifest.parent / "frames_a.bin").read_bytes())
+
+    def edit(raw):
+        raw["cameras"] = ["a", "c"]
+
+    with pytest.raises(ParseFailure):
+        read_episode(_rewrite(manifest, edit))

@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multirate.augment import source_indices
 from multirate.errors import NonIntegerRatio, ValidationFailure
 from multirate.model import (
-    AlignedStep,
+    AlignedEpisode,
     Episode,
     FrameRecord,
-    FrameRef,
     FrameStream,
-    JointSample,
     Method,
     OffsetSet,
+    Provenance,
     RobotStream,
-    clamp_index,
     exact_ratio,
-    frame_anchor_index,
+    step_dtype,
 )
 
 from conftest import make_episode
@@ -45,7 +44,9 @@ def test_exact_ratio_rejects_nonpositive():
     "seq,ratio,idx", [(0, 10, 0), (3, 10, 30), (7, 3, 21), (9, 1, 9), (4, 12, 48)]
 )
 def test_frame_anchor_index(seq, ratio, idx):
-    assert frame_anchor_index(seq, ratio) == idx
+    """Offset 0 of frame `seq` is the sample captured with it: seq * ratio."""
+    raw, clipped = source_indices((0,), ratio, seq + 1, idx + 1)
+    assert raw[0, seq] == clipped[0, seq] == idx
 
 
 @pytest.mark.parametrize(
@@ -53,20 +54,26 @@ def test_frame_anchor_index(seq, ratio, idx):
     [(-4, 100, 0), (0, 100, 0), (55, 100, 55), (99, 100, 99), (105, 100, 99), (0, 1, 0), (-1, 1, 0)],
 )
 def test_clamp_index(index, length, expected):
-    assert clamp_index(index, length) == expected
+    """At frame 0 the raw index is the offset itself, clipped into [0, length - 1]."""
+    raw, clipped = source_indices((index,), 1, 1, length)
+    assert raw.tolist() == [[index]]
+    assert clipped.tolist() == [[expected]]
 
 
 @given(st.integers(-1000, 1000), st.integers(1, 500))
 def test_clamp_index_always_in_range(index, length):
-    out = clamp_index(index, length)
+    _, clipped = source_indices((index,), 1, 1, length)
+    out = int(clipped[0, 0])
     assert 0 <= out <= length - 1
     if 0 <= index < length:
         assert out == index
 
 
-def test_joint_sample_rejects_nonfinite():
+def test_source_indices_rejects_bad_args():
     with pytest.raises(ValidationFailure):
-        JointSample(angle=float("nan"), velocity=0.0, torque=0.0)
+        source_indices((0,), 0, 3, 10)
+    with pytest.raises(ValidationFailure):
+        source_indices((0,), 1, 3, 0)
 
 
 def test_robot_stream_shape_and_readonly():
@@ -174,15 +181,52 @@ def test_method_from_name():
         Method.from_name("nearest")
 
 
-def test_aligned_step_validation():
-    ref = (FrameRef(camera_id="cam", seq=0),)
-    step = AlignedStep(
-        frame_refs=ref, observation=np.zeros(6), action=np.ones(6), source_index=3
-    )
-    assert step.joints == 2
+def _rows(joints, steps=2, index_type="<u8", obs_width=None, act_width=None):
+    width = 3 * joints
+    dtype = [
+        ("source_index", index_type),
+        ("observation", "<f8", (obs_width or width,)),
+        ("action", "<f8", (act_width or width,)),
+    ]
+    return np.zeros(steps, dtype=dtype)
+
+
+PROV = Provenance(source_episode_id="ep", method=Method.DABI, offset=0)
+
+
+def test_aligned_episode_validation():
+    rows = _rows(joints=2)
+    rows["source_index"] = [3, 4]
+    rows["action"] = 1.0
+    sub = AlignedEpisode(rows=rows, cameras=("cam",), provenance=PROV)
+    assert sub.joints == 2 and sub.step_count == 2
+    assert sub.rows.dtype == step_dtype(2)
+    assert sub.source_index.tolist() == [3, 4]
+    assert sub.observation.shape == sub.action.shape == (2, 6)
+    # the stored rows are read-only and detached from the caller's array
+    with pytest.raises(ValueError):
+        sub.rows["source_index"][0] = 9
+    rows["source_index"][0] = 9
+    assert sub.source_index[0] == 3
+    bad = [
+        _rows(joints=2, obs_width=5, act_width=5),  # width not a multiple of 3
+        _rows(joints=2, act_width=3),  # observation and action disagree
+        _rows(joints=2, index_type="<i8"),  # signed indices could be negative
+        _rows(joints=2, steps=0),  # no steps
+        np.zeros(2, dtype=[("i", "<u8"), ("observation", "<f8", (6,)), ("action", "<f8", (6,))]),
+        np.zeros((2, 6)),
+    ]
+    nonfinite = _rows(joints=2)
+    nonfinite["observation"][1, 4] = np.nan
+    bad.append(nonfinite)
+    for rows in bad:
+        with pytest.raises(ValidationFailure):
+            AlignedEpisode(rows=rows, cameras=("cam",), provenance=PROV)
     with pytest.raises(ValidationFailure):
-        AlignedStep(frame_refs=ref, observation=np.zeros(5), action=np.zeros(5), source_index=0)
+        AlignedEpisode(rows=_rows(joints=2), cameras=(), provenance=PROV)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "../up"])
+def test_frame_stream_rejects_path_like_camera_id(name):
     with pytest.raises(ValidationFailure):
-        AlignedStep(frame_refs=ref, observation=np.zeros(6), action=np.zeros(3), source_index=0)
-    with pytest.raises(ValidationFailure):
-        AlignedStep(frame_refs=ref, observation=np.zeros(6), action=np.zeros(6), source_index=-1)
+        FrameStream(camera_id=name, rate_hz=10, records=(FrameRecord(seq=0, payload=b""),))
