@@ -171,12 +171,13 @@ class _Checks:
 def _validate_dataset(dataset_dir: Path, args: argparse.Namespace, checks: _Checks) -> None:
     manifest = load_manifest(dataset_dir)
     checks.add("manifest-parse", "ok", f"kind=dataset method={manifest.get('method')}")
-    if not checks.run("checksums", lambda: _checksum_detail(dataset_dir, manifest)):
+    payloads = _verified_payloads(dataset_dir, manifest, checks)
+    if payloads is None:
         return
     holder: dict[str, AugmentedDataset] = {}
 
     def _read() -> str:
-        holder["ds"] = read_dataset(dataset_dir)
+        holder["ds"] = read_dataset(dataset_dir, manifest=manifest, payloads=payloads)
         ds = holder["ds"]
         return (
             f"{ds.episode_count} sub-episodes from "
@@ -274,19 +275,28 @@ def _validate_dataset(dataset_dir: Path, args: argparse.Namespace, checks: _Chec
     checks.run("coverage", _coverage)
 
 
-def _checksum_detail(directory: Path, manifest: dict) -> str:
-    verify_checksums(directory, manifest)
-    return f"{len(manifest.get('files', {}))} files"
+def _verified_payloads(
+    directory: Path, manifest: dict, checks: _Checks
+) -> dict[str, bytes] | None:
+    """The checksums row: every payload's verified bytes, or None when the row failed."""
+    payloads: dict[str, bytes] = {}
+
+    def _verify() -> str:
+        payloads.update(verify_checksums(directory, manifest))
+        return f"{len(manifest.get('files', {}))} files"
+
+    return payloads if checks.run("checksums", _verify) else None
 
 
 def _validate_episode(ep_dir: Path, checks: _Checks) -> None:
     manifest = load_manifest(ep_dir)
     checks.add("manifest-parse", "ok", f"kind=episode id={manifest.get('episode_id')}")
-    if not checks.run("checksums", lambda: _checksum_detail(ep_dir, manifest)):
+    payloads = _verified_payloads(ep_dir, manifest, checks)
+    if payloads is None:
         return
 
     def _read() -> str:
-        ep = read_episode(ep_dir)
+        ep = read_episode(ep_dir, manifest=manifest, payloads=payloads)
         return (
             f"samples={ep.sample_count} frames={ep.frame_count} ratio={ep.ratio} "
             f"joints={ep.joints}"

@@ -286,16 +286,24 @@ def _parse_frames(
     return FrameStream(camera_id=camera_id, rate_hz=rate_hz, records=tuple(records))
 
 
-def read_episode(in_dir: str | Path) -> Episode:
+def read_episode(
+    in_dir: str | Path,
+    *,
+    manifest: dict | None = None,
+    payloads: dict[str, bytes] | None = None,
+) -> Episode:
     """Load one episode directory, verifying checksums and invariants.
 
-    Accepts either the directory or its manifest.json path.
+    Accepts either the directory or its manifest.json path.  A caller that
+    already holds the parsed manifest, and the payloads verify_checksums
+    returned for it, passes them in; nothing is then read or hashed again.
     """
     in_dir = _as_directory(in_dir)
-    raw = load_manifest(in_dir)
+    raw = load_manifest(in_dir) if manifest is None else manifest
     if raw["kind"] != "episode":
         raise ParseFailure(f"{in_dir}: expected kind 'episode', found {raw['kind']!r}")
-    payloads = verify_checksums(in_dir, raw)
+    if payloads is None:
+        payloads = verify_checksums(in_dir, raw)
     man = EpisodeManifest.from_dict(raw)
     leader, follower = (
         _parse_robot(payloads, in_dir, name, man.sample_count, man.joints, man.robot_rate_hz)
@@ -360,16 +368,23 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
     return _publish_dir(Path(out_dir), files, overwrite) / "manifest.json"
 
 
-def read_dataset(in_dir: str | Path) -> AugmentedDataset:
+def read_dataset(
+    in_dir: str | Path,
+    *,
+    manifest: dict | None = None,
+    payloads: dict[str, bytes] | None = None,
+) -> AugmentedDataset:
     """Load a dataset directory, verifying checksums, counts, and invariants.
 
-    Accepts either the directory or its manifest.json path.
+    Accepts either the directory or its manifest.json path.  manifest and
+    payloads work as in read_episode.
     """
     in_dir = _as_directory(in_dir)
-    raw = load_manifest(in_dir)
+    raw = load_manifest(in_dir) if manifest is None else manifest
     if raw["kind"] != "dataset":
         raise ParseFailure(f"{in_dir}: expected kind 'dataset', found {raw['kind']!r}")
-    payloads = verify_checksums(in_dir, raw)
+    if payloads is None:
+        payloads = verify_checksums(in_dir, raw)
     try:
         method = Method.from_name(str(raw["method"]))
         ratio = int(raw["ratio"])

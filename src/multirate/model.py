@@ -66,8 +66,24 @@ def step_dtype(joints: int) -> np.dtype:
     )
 
 
+def _views_immutable_bytes(arr: np.ndarray) -> bool:
+    """True when the memory under `arr` is a bytes object, which nothing can change."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
 def _as_readonly_f64(data: Any, shape_desc: str, ndim: int) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64, order="C")
+    if (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.flags.c_contiguous
+        and _views_immutable_bytes(data)
+    ):
+        arr = data  # e.g. a payload parsed in place: already read-only, so no copy
+    else:
+        arr = np.array(data, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ValidationFailure(f"{shape_desc}: expected {ndim}-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

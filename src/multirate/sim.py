@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -213,22 +211,140 @@ class ObserverState:
         return cls(np.zeros(joint_count), np.zeros(joint_count), np.zeros(joint_count))
 
 
-@lru_cache(maxsize=32)
-def _plant_vectors(joints: tuple[JointModel, ...]) -> tuple[np.ndarray, np.ndarray]:
-    inertia = np.array([j.inertia for j in joints])
-    viscous = np.array([j.viscous_friction for j in joints])
-    return inertia, viscous
+@dataclass(frozen=True, eq=False)
+class _Plant:
+    """Per-joint model vectors, built once per episode rather than per step.
+
+    gravity_fns is None when no joint has a gravity hook; the gravity term is
+    then skipped, which is exact because x - 0.0 == x for every float x.
+    """
+
+    inertia: np.ndarray
+    viscous: np.ndarray
+    gravity_fns: tuple[Callable[[float], float] | None, ...] | None
+
+    @classmethod
+    def of(cls, joints: tuple[JointModel, ...]) -> "_Plant":
+        fns = tuple(j.gravity_torque_fn for j in joints)
+        return cls(
+            inertia=np.array([j.inertia for j in joints]),
+            viscous=np.array([j.viscous_friction for j in joints]),
+            gravity_fns=fns if any(fn is not None for fn in fns) else None,
+        )
+
+    def minus_gravity(self, torque: np.ndarray, angle: np.ndarray) -> np.ndarray:
+        """torque - gravity(angle) over (..., J); hooks are scalar, so this runs per joint."""
+        if self.gravity_fns is None:
+            return torque
+        gravity = np.zeros(np.shape(angle))
+        for idx in np.ndindex(gravity.shape):
+            fn = self.gravity_fns[idx[-1]]
+            if fn is not None:
+                gravity[idx] = fn(float(angle[idx]))
+        return torque - gravity
 
 
-def _gravity(joints: tuple[JointModel, ...], angle: np.ndarray) -> np.ndarray:
-    if all(j.gravity_torque_fn is None for j in joints):
-        return np.zeros(len(joints))
-    return np.array(
-        [
-            j.gravity_torque_fn(float(a)) if j.gravity_torque_fn else 0.0
-            for j, a in zip(joints, angle)
-        ]
+# The array helpers below hold the one copy of the physics.  They broadcast
+# over (..., J); run_simulation calls them on arm-stacked (2, J) arrays with
+# the leader in row 0 and the follower in row 1, and the public per-step
+# functions are thin wrappers over them.  Each keeps the operation order of
+# the scalar formulas in its wrapper's docstring, so results agree bit for bit.
+
+_ARM_NAMES = ("leader", "follower")
+_ARM_SIGN = np.array([[-1.0], [1.0]])  # the gap pulls the two arms toward each other
+
+
+def _decay(gains: ControllerGains, dt: float) -> tuple[float, float, float, float]:
+    """(a, 1 - a) of the zero-order-hold low-pass at the DOB, then the RFOB cutoff."""
+    a_dob = math.exp(-gains.dob_cutoff * dt)
+    a_rfob = math.exp(-gains.rfob_cutoff * dt)
+    return a_dob, 1.0 - a_dob, a_rfob, 1.0 - a_rfob
+
+
+def _observe(
+    inertia: np.ndarray,
+    decay: tuple[float, float, float, float],
+    dob_estimate: np.ndarray,
+    rfob_lowpass: np.ndarray,
+    prev_velocity: np.ndarray,
+    commanded_torque: np.ndarray,
+    velocity: np.ndarray,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    a_dob, b_dob, a_rfob, b_rfob = decay
+    raw = commanded_torque - inertia * (velocity - prev_velocity) / dt
+    return a_dob * dob_estimate + b_dob * raw, a_rfob * rfob_lowpass + b_rfob * raw
+
+
+def _reaction(
+    plant: _Plant, load_estimate: np.ndarray, angle: np.ndarray, velocity: np.ndarray
+) -> np.ndarray:
+    return plant.minus_gravity(load_estimate - plant.viscous * velocity, angle)
+
+
+def _plant_step(
+    plant: _Plant, angle: np.ndarray, velocity: np.ndarray, applied_torque: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    accel = plant.minus_gravity(applied_torque - plant.viscous * velocity, angle) / plant.inertia
+    velocity = velocity + dt * accel
+    return angle + dt * velocity, velocity
+
+
+def _commands(
+    plant: _Plant,
+    gains: ControllerGains,
+    angle: np.ndarray,
+    velocity: np.ndarray,
+    dob_estimate: np.ndarray,
+    reaction: np.ndarray,
+) -> np.ndarray:
+    """Commands of both arms from arm-stacked (2, J) state, observer and reaction arrays."""
+    gap_accel = gains.kp * (angle[0] - angle[1]) + gains.kd * (velocity[0] - velocity[1])
+    torque_sum = reaction[0] + reaction[1]
+    # -1.0 * (g / 2.0) is bit-identical to (-g) / 2.0: halving rounds symmetrically
+    return (
+        plant.inertia * (_ARM_SIGN * (gap_accel / 2.0))
+        - gains.kf * torque_sum / 2.0
+        + dob_estimate
     )
+
+
+def _check_divergence(angle: np.ndarray, velocity: np.ndarray, state_limit: float) -> None:
+    """Raise NumericalDivergence if an arm's (2, J) state is non-finite or beyond the limit.
+
+    The leader is checked first.  NaN fails the comparison, so it raises too.
+    """
+    worst = np.maximum(np.abs(angle).max(-1), np.abs(velocity).max(-1))
+    for name, arm_worst in zip(_ARM_NAMES, worst.tolist()):
+        if not arm_worst <= state_limit:
+            raise NumericalDivergence(
+                f"{name} state magnitude {arm_worst:.3e} exceeds limit {state_limit:.3e}"
+            )
+
+
+def _substep(
+    plant: _Plant,
+    decay: tuple[float, float, float, float],
+    angle: np.ndarray,
+    velocity: np.ndarray,
+    dob_estimate: np.ndarray,
+    rfob_lowpass: np.ndarray,
+    prev_velocity: np.ndarray,
+    cmd: np.ndarray,
+    external: np.ndarray,
+    dt: float,
+    state_limit: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate both arms under cmd + external, check divergence, update the observers.
+
+    Returns the new (angle, velocity, dob_estimate, rfob_lowpass), each (2, J).
+    """
+    angle, velocity = _plant_step(plant, angle, velocity, cmd + external, dt)
+    _check_divergence(angle, velocity, state_limit)
+    dob_estimate, rfob_lowpass = _observe(
+        plant.inertia, decay, dob_estimate, rfob_lowpass, prev_velocity, cmd, velocity, dt
+    )
+    return angle, velocity, dob_estimate, rfob_lowpass
 
 
 def dob_update(
@@ -246,16 +362,21 @@ def dob_update(
     It is low-passed twice in parallel: once at dob_cutoff (the estimate
     that feeds back into the command) and once at rfob_cutoff (consumed by
     rfob_update).  A constant positive load settles to a positive estimate.
+
+        raw  = commanded_torque - inertia * (velocity - prev_velocity) / dt
+        next = a * estimate + (1 - a) * raw,   a = exp(-cutoff * dt)
     """
-    inertia, _ = _plant_vectors(joints)
-    raw = commanded_torque - inertia * (velocity - state.prev_velocity) / dt
-    a_dob = math.exp(-gains.dob_cutoff * dt)
-    a_rfob = math.exp(-gains.rfob_cutoff * dt)
-    return ObserverState(
-        dob_estimate=a_dob * state.dob_estimate + (1.0 - a_dob) * raw,
-        rfob_lowpass=a_rfob * state.rfob_lowpass + (1.0 - a_rfob) * raw,
-        prev_velocity=velocity.copy(),
+    dob, rfob = _observe(
+        _Plant.of(joints).inertia,
+        _decay(gains, dt),
+        state.dob_estimate,
+        state.rfob_lowpass,
+        state.prev_velocity,
+        commanded_torque,
+        velocity,
+        dt,
     )
+    return ObserverState(dob_estimate=dob, rfob_lowpass=rfob, prev_velocity=velocity.copy())
 
 
 def rfob_update(
@@ -268,10 +389,10 @@ def rfob_update(
 
     Pure arithmetic on the supplied estimate (normally ObserverState's
     rfob_lowpass); given an exact load estimate and exact models, the
-    result equals the torque the arm exerts on its surroundings.
+    result equals the torque the arm exerts on its surroundings:
+    load_estimate - viscous * velocity - gravity(angle).
     """
-    _, viscous = _plant_vectors(joints)
-    return load_estimate - viscous * velocity - _gravity(joints, angle)
+    return _reaction(_Plant.of(joints), load_estimate, angle, velocity)
 
 
 def plant_step(
@@ -280,12 +401,38 @@ def plant_step(
     joints: tuple[JointModel, ...],
     dt: float,
 ) -> ArmState:
-    """Semi-implicit Euler step of the rigid-joint dynamics."""
-    inertia, viscous = _plant_vectors(joints)
-    accel = (applied_torque - viscous * state.velocity - _gravity(joints, state.angle)) / inertia
-    velocity = state.velocity + dt * accel
-    angle = state.angle + dt * velocity
+    """Semi-implicit Euler step of the rigid-joint dynamics.
+
+        accel    = (applied_torque - viscous * velocity - gravity(angle)) / inertia
+        velocity = velocity + dt * accel;  angle = angle + dt * velocity
+    """
+    angle, velocity = _plant_step(
+        _Plant.of(joints), state.angle, state.velocity, applied_torque, dt
+    )
     return ArmState(angle=angle, velocity=velocity)
+
+
+def _stacked_control(
+    leader: ArmState,
+    follower: ArmState,
+    leader_obs: ObserverState,
+    follower_obs: ObserverState,
+    joints: tuple[JointModel, ...],
+    gains: ControllerGains,
+) -> tuple[_Plant, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stack the two arms' states and apply the control law.
+
+    Returns (plant, angle, velocity, dob_estimate, rfob_lowpass, reaction,
+    command), the arrays (2, J) with the leader in row 0.
+    """
+    plant = _Plant.of(joints)
+    angle = np.stack((leader.angle, follower.angle))
+    velocity = np.stack((leader.velocity, follower.velocity))
+    dob = np.stack((leader_obs.dob_estimate, follower_obs.dob_estimate))
+    rfob = np.stack((leader_obs.rfob_lowpass, follower_obs.rfob_lowpass))
+    reaction = _reaction(plant, rfob, angle, velocity)
+    cmd = _commands(plant, gains, angle, velocity, dob, reaction)
+    return plant, angle, velocity, dob, rfob, reaction, cmd
 
 
 def control_commands(
@@ -301,18 +448,14 @@ def control_commands(
     The position/velocity gap maps to a differential acceleration reference
     (opposite signs on the two arms); the reaction-torque sum is squashed
     with the same sign on both arms; each command adds its own arm's DOB
-    estimate to cancel the load it is carrying.
+    estimate to cancel the load it is carrying:
+
+        gap_accel = kp * (angle_l - angle_f) + kd * (velocity_l - velocity_f)
+        cmd_l = inertia * (-gap_accel / 2) - kf * (tres_l + tres_f) / 2 + dob_l
+        cmd_f = inertia * (+gap_accel / 2) - kf * (tres_l + tres_f) / 2 + dob_f
     """
-    inertia, _ = _plant_vectors(joints)
-    tres_l = rfob_update(leader_obs.rfob_lowpass, leader.angle, leader.velocity, joints)
-    tres_f = rfob_update(follower_obs.rfob_lowpass, follower.angle, follower.velocity, joints)
-    gap_accel = gains.kp * (leader.angle - follower.angle) + gains.kd * (
-        leader.velocity - follower.velocity
-    )
-    torque_sum = tres_l + tres_f
-    cmd_l = inertia * (-gap_accel / 2.0) - gains.kf * torque_sum / 2.0 + leader_obs.dob_estimate
-    cmd_f = inertia * (+gap_accel / 2.0) - gains.kf * torque_sum / 2.0 + follower_obs.dob_estimate
-    return cmd_l, cmd_f, tres_l, tres_f
+    *_, reaction, cmd = _stacked_control(leader, follower, leader_obs, follower_obs, joints, gains)
+    return cmd[0], cmd[1], reaction[0], reaction[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,31 +486,41 @@ def bilateral_step(
 
     operator_torque acts externally on the leader, environment_torque on the
     follower.  Raises NumericalDivergence when any resulting angle or
-    velocity is non-finite or exceeds state_limit in magnitude.
+    velocity is non-finite or exceeds state_limit in magnitude (the leader
+    is checked first).
     """
-    j = len(joints)
-    op = np.zeros(j) if operator_torque is None else np.asarray(operator_torque, dtype=float)
-    env = np.zeros(j) if environment_torque is None else np.asarray(environment_torque, dtype=float)
-    cmd_l, cmd_f, tres_l, tres_f = control_commands(
+    plant, angle, velocity, dob, rfob, reaction, cmd = _stacked_control(
         leader, follower, leader_obs, follower_obs, joints, gains
     )
-    new_l = plant_step(leader, cmd_l + op, joints, dt)
-    new_f = plant_step(follower, cmd_f + env, joints, dt)
-    for name, st in (("leader", new_l), ("follower", new_f)):
-        worst = max(np.max(np.abs(st.angle)), np.max(np.abs(st.velocity)))
-        if not np.isfinite(worst) or worst > state_limit:
-            raise NumericalDivergence(
-                f"{name} state magnitude {worst:.3e} exceeds limit {state_limit:.3e}"
-            )
+    external = np.zeros((2, len(joints)))
+    if operator_torque is not None:
+        external[0] = operator_torque
+    if environment_torque is not None:
+        external[1] = environment_torque
+    new_angle, new_velocity, new_dob, new_rfob = _substep(
+        plant,
+        _decay(gains, dt),
+        angle,
+        velocity,
+        dob,
+        rfob,
+        np.stack((leader_obs.prev_velocity, follower_obs.prev_velocity)),
+        cmd,
+        external,
+        dt,
+        state_limit,
+    )
+    arms = [ArmState(angle=new_angle[r], velocity=new_velocity[r]) for r in (0, 1)]
+    observers = [ObserverState(new_dob[r], new_rfob[r], new_velocity[r].copy()) for r in (0, 1)]
     return StepResult(
-        leader=new_l,
-        follower=new_f,
-        leader_obs=dob_update(leader_obs, cmd_l, new_l.velocity, joints, gains, dt),
-        follower_obs=dob_update(follower_obs, cmd_f, new_f.velocity, joints, gains, dt),
-        leader_command=cmd_l,
-        follower_command=cmd_f,
-        leader_reaction=tres_l,
-        follower_reaction=tres_f,
+        leader=arms[0],
+        follower=arms[1],
+        leader_obs=observers[0],
+        follower_obs=observers[1],
+        leader_command=cmd[0],
+        follower_command=cmd[1],
+        leader_reaction=reaction[0],
+        follower_reaction=reaction[1],
     )
 
 
@@ -470,70 +623,65 @@ def run_simulation(
     rng = np.random.default_rng(config.seed)
     amplitude = rng.uniform(0.9, 1.1, size=jc)
 
-    leader = ArmState.zeros(jc)
-    follower = ArmState.zeros(jc)
-    leader_obs = ObserverState.zeros(jc)
-    follower_obs = ObserverState.zeros(jc)
+    plant = _Plant.of(config.joints)
+    gains = config.gains
+    decay = _decay(gains, dt)
+    reference = sched.mode == "reference"
+    pushes = [
+        (_ARM_NAMES.index(d.arm), d.joint, d.start_s, d.end_s, d.torque)
+        for d in config.disturbances
+    ]
 
-    rec_l = np.empty((t_len, jc, 3))
-    rec_f = np.empty((t_len, jc, 3))
-    cmd_l_trace = np.empty((t_len, jc))
-    cmd_f_trace = np.empty((t_len, jc))
-    frames: list[FrameRecord] = []
-    max_gap = 0.0
-
-    def external(t: float, arm: str) -> np.ndarray:
-        out = np.zeros(jc)
-        for d in config.disturbances:
-            if d.arm == arm and d.start_s <= t < d.end_s:
-                out[d.joint] += d.torque
-        return out
-
-    def operator(t: float) -> np.ndarray:
-        if sched.mode == "torque":
-            return amplitude * sched.value(t)
-        ref = amplitude * sched.value(t)
-        return OPERATOR_KP * (ref - leader.angle) - OPERATOR_KD * leader.velocity
+    # arm-stacked state: row 0 is the leader, row 1 the follower
+    angle = np.zeros((2, jc))
+    velocity = np.zeros((2, jc))
+    dob = np.zeros((2, jc))
+    rfob = np.zeros((2, jc))
+    streams = np.empty((2, t_len, jc, 3))
+    commands = np.empty((2, t_len, jc))
 
     for k in range(t_len):
-        cmd_l, cmd_f, tres_l, tres_f = control_commands(
-            leader, follower, leader_obs, follower_obs, config.joints, config.gains
-        )
-        rec_l[k, :, 0], rec_l[k, :, 1], rec_l[k, :, 2] = leader.angle, leader.velocity, tres_l
-        rec_f[k, :, 0], rec_f[k, :, 1], rec_f[k, :, 2] = follower.angle, follower.velocity, tres_f
-        cmd_l_trace[k] = cmd_l
-        cmd_f_trace[k] = cmd_f
-        max_gap = max(max_gap, float(np.max(np.abs(leader.angle - follower.angle))))
-        if k % ratio == 0:
-            frames.append(
-                FrameRecord(seq=k // ratio, payload=struct.pack(f"<{jc}d", *follower.angle))
-            )
+        reaction = _reaction(plant, rfob, angle, velocity)
+        cmd = _commands(plant, gains, angle, velocity, dob, reaction)
+        streams[:, k, :, 0] = angle
+        streams[:, k, :, 1] = velocity
+        streams[:, k, :, 2] = reaction
+        commands[:, k] = cmd
         if k + 1 == t_len:
             break
         for i in range(substeps):
             t = k / config.robot_rate_hz + i * dt
-            res = bilateral_step(
-                leader,
-                follower,
-                leader_obs,
-                follower_obs,
-                config.joints,
-                config.gains,
-                dt,
-                operator_torque=operator(t) + external(t, "leader"),
-                environment_torque=external(t, "follower"),
+            if i:
+                reaction = _reaction(plant, rfob, angle, velocity)
+                cmd = _commands(plant, gains, angle, velocity, dob, reaction)
+            operator = amplitude * sched.value(t)
+            if reference:
+                operator = OPERATOR_KP * (operator - angle[0]) - OPERATOR_KD * velocity[0]
+            external = np.zeros((2, jc))
+            for row, joint, start_s, end_s, torque in pushes:
+                if start_s <= t < end_s:
+                    external[row, joint] += torque
+            # added even where the disturbance is zero, as -0.0 + 0.0 is +0.0
+            external[0] = operator + external[0]
+            # the observers' previous velocity is always the one this step starts from
+            angle, velocity, dob, rfob = _substep(
+                plant, decay, angle, velocity, dob, rfob, velocity, cmd, external, dt, STATE_LIMIT
             )
-            leader, follower = res.leader, res.follower
-            leader_obs, follower_obs = res.leader_obs, res.follower_obs
+
+    angles = streams[..., 0]
+    max_gap = float(np.abs(angles[0] - angles[1]).max())
+    # each frame carries the follower angles of its anchor sample, little-endian
+    payloads = angles[1, ::ratio].astype("<f8")
+    frames = tuple(FrameRecord(seq=n, payload=row.tobytes()) for n, row in enumerate(payloads))
 
     frame_streams = tuple(
-        FrameStream(camera_id=cam, rate_hz=config.frame_rate_hz, records=tuple(frames))
+        FrameStream(camera_id=cam, rate_hz=config.frame_rate_hz, records=frames)
         for cam in config.cameras
     )
     episode = Episode(
         episode_id=episode_id,
-        leader=RobotStream(rate_hz=config.robot_rate_hz, data=rec_l),
-        follower=RobotStream(rate_hz=config.robot_rate_hz, data=rec_f),
+        leader=RobotStream(rate_hz=config.robot_rate_hz, data=streams[0]),
+        follower=RobotStream(rate_hz=config.robot_rate_hz, data=streams[1]),
         frame_streams=frame_streams,
         meta={
             "task": sched.name,
@@ -543,8 +691,8 @@ def run_simulation(
     )
     return SimResult(
         episode=episode,
-        leader_commands=cmd_l_trace,
-        follower_commands=cmd_f_trace,
+        leader_commands=commands[0],
+        follower_commands=commands[1],
         max_position_gap=max_gap,
     )
 

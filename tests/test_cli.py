@@ -10,6 +10,7 @@ from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
 from multirate.augment import augment
 from multirate.model import Method
+from multirate.sim import default_sim_config, sim_config_to_dict
 
 from conftest import make_episode
 
@@ -63,6 +64,19 @@ def test_usage_error_on_unknown_method(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["augment", str(tmp_path), "--method", "nearest", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+
+
+def test_simulate_divergence_exits_one_and_writes_nothing(tmp_path, capsys):
+    raw = sim_config_to_dict(default_sim_config())
+    raw["gains"]["kp"] = 1e7
+    cfg = tmp_path / "stiff.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "eps"
+    rc = main(["simulate", "--config", str(cfg), "--trajectory", "step", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "NumericalDivergence: leader state magnitude 2.162e+06 exceeds limit 1.000e+06" in err
+    assert not out.exists() or list(out.rglob("*")) == []
 
 
 def _write_episode_tree(tmp_path, n=2, ratio=10):
@@ -218,6 +232,32 @@ def test_validate_reads_only_source_episodes(tmp_path, monkeypatch, capsys):
     assert main(["validate", str(out)]) == 0
     assert sorted(read) == ["ep-0", "ep-1"]
     assert "re-derived 20 sub-episodes from 2 sources" in capsys.readouterr().out
+
+
+def test_validate_reads_each_payload_once(tmp_path, monkeypatch, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    reads = []
+    original = Path.read_bytes
+
+    def counting(self):
+        reads.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+
+    def payloads(directory):
+        return sorted(directory / name for name in json.loads(
+            (directory / "manifest.json").read_text())["files"])
+
+    assert main(["validate", str(out)]) == 0
+    assert sorted(reads) == sorted(
+        payloads(out) + payloads(root / "ep-0") + payloads(root / "ep-1")
+    )
+    reads.clear()
+    assert main(["validate", str(root / "ep-0")]) == 0
+    assert sorted(reads) == payloads(root / "ep-0")
 
 
 def test_validate_missing_manifest(tmp_path, capsys):

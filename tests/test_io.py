@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,24 @@ def test_readers_read_each_payload_once(tmp_path, episode, monkeypatch):
     reads.clear()
     read_dataset(ds_dir)
     assert sorted(reads) == sorted(load_manifest(ds_dir)["files"])
+
+
+def test_read_episode_keeps_streams_in_the_payload_bytes(tmp_path):
+    big = make_episode(t_len=100_000, joints=5, ratio=10)
+    ep_dir = write_episode(big, tmp_path / "ep").parent
+    payload = sum(f["bytes"] for f in load_manifest(ep_dir)["files"].values())
+    del big
+    tracemalloc.start()
+    try:
+        loaded = read_episode(ep_dir)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a copy of the robot streams would take the peak to about twice the payload
+    assert peak < 1.3 * payload
+    for stream in (loaded.leader, loaded.follower):
+        with pytest.raises(ValueError):
+            stream.data.setflags(write=True)
 
 
 def _rewrite(manifest: Path, edit) -> Path:

@@ -85,6 +85,13 @@ def test_robot_stream_shape_and_readonly():
     # the stored array is a copy, mutating the source does not leak in
     data[0, 0, 0] = 7.0
     assert stream.data[0, 0, 0] == 0.0
+    # so is a read-only view while the memory under it can still change
+    buffer = bytearray(data.tobytes())
+    for view, source in ((data.view(), data), (np.frombuffer(buffer), buffer)):
+        view.setflags(write=False)
+        stream = RobotStream(rate_hz=100, data=view.reshape(5, 2, 3))
+        source[0] = 1  # the first row of `data`, the first byte of `buffer`
+        assert stream.data[0, 0, 0] == 7.0
 
 
 @pytest.mark.parametrize("shape", [(5, 2), (5, 2, 2), (0, 2, 3), (5, 0, 3)])

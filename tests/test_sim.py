@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import itertools
 import json
 import math
 
@@ -6,6 +9,8 @@ import pytest
 
 from multirate.errors import NumericalDivergence, ParseFailure, ValidationFailure
 from multirate.sim import (
+    OPERATOR_KD,
+    OPERATOR_KP,
     ArmState,
     ControllerGains,
     Disturbance,
@@ -14,6 +19,7 @@ from multirate.sim import (
     OperatorSchedule,
     SimConfig,
     bilateral_step,
+    control_commands,
     default_sim_config,
     dob_update,
     load_sim_config,
@@ -361,3 +367,170 @@ def test_load_sim_config_errors(tmp_path):
     missing.write_text(json.dumps({"joints": []}))
     with pytest.raises(ParseFailure):
         load_sim_config(missing)
+
+
+# Byte-level pin of run_simulation.  Each digest covers both joint streams,
+# both command traces, every frame payload and repr(max_position_gap), for
+# the default five-joint rig over 0.25 s.  The gravity hook is a polynomial
+# so that the digests do not depend on the platform's libm.
+PIN_DISTURBANCES = (
+    Disturbance(joint=1, start_s=0.05, end_s=0.2, torque=0.2, arm="leader"),
+    Disturbance(joint=0, start_s=0.1, end_s=0.25, torque=-0.3),
+)
+
+
+def _poly_gravity(a: float) -> float:
+    return 0.3 * a - 0.05 * a * a * a
+
+
+def _pin_config(dt, disturbed, gravity):
+    base = default_sim_config()
+    joints = tuple(
+        dataclasses.replace(j, gravity_torque_fn=_poly_gravity if gravity and i % 2 == 0 else None)
+        for i, j in enumerate(base.joints)
+    )
+    return dataclasses.replace(
+        base,
+        joints=joints,
+        duration_s=0.25,
+        seed=7,
+        dt=dt,
+        disturbances=PIN_DISTURBANCES if disturbed else (),
+    )
+
+
+def _result_digest(res) -> str:
+    h = hashlib.sha256()
+    ep = res.episode
+    for arr in (ep.leader.data, ep.follower.data, res.leader_commands, res.follower_commands):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    for fs in ep.frame_streams:
+        for rec in fs.records:
+            h.update(f"{fs.camera_id}:{rec.seq}:".encode())
+            h.update(rec.payload)
+    h.update(repr(res.max_position_gap).encode())
+    return h.hexdigest()
+
+
+PIN_CASES = list(
+    itertools.product(("hold", "step", "pick_sweep"), (None, 2.5e-4), (False, True), (False, True))
+)
+PIN_DIGESTS = {
+    ("hold", None, False, False):
+        "11014cae7f08b14025ba65f5205767eb2eae3d1df94f8814380e5700a8e2c72b",
+    ("hold", None, False, True):
+        "11014cae7f08b14025ba65f5205767eb2eae3d1df94f8814380e5700a8e2c72b",
+    ("hold", None, True, False):
+        "16e1e32ba1d4e35541277a093b317552a1a36abe907aeffab065de89bde6f6ad",
+    ("hold", None, True, True):
+        "038d7549dcde6dc054ba46d0bc815df150e4867a7e07bbe1b9c32fb61a916385",
+    ("hold", 0.00025, False, False):
+        "11014cae7f08b14025ba65f5205767eb2eae3d1df94f8814380e5700a8e2c72b",
+    ("hold", 0.00025, False, True):
+        "11014cae7f08b14025ba65f5205767eb2eae3d1df94f8814380e5700a8e2c72b",
+    ("hold", 0.00025, True, False):
+        "7aeef71be32af409e696c7eb7e4ca723c6fba5609f59d05b137d9d869172eb53",
+    ("hold", 0.00025, True, True):
+        "35697736a522b59e42491ee48cf7daaa6299bc50a852a24aa12e5e366b2aff8f",
+    ("step", None, False, False):
+        "08ee57117619ab3a8e65053e62999e01d6a0ed05a61b046105b743d6fa332208",
+    ("step", None, False, True):
+        "862e4862743e3d6ebdadff2b9b918751c7f27e01c05fa58c6f7ff6f1a3824796",
+    ("step", None, True, False):
+        "5ef5659523ba0c063c3c7bf56e9ced99f82e6f7297cf8cac91de98262146f05d",
+    ("step", None, True, True):
+        "91f4e5e1c70f63e7ec22e657376fb69eedaf23195e560e13a72fb517a16ba5d6",
+    ("step", 0.00025, False, False):
+        "fc10ae8fa0d9c81f048b25e582378aa9794a5387d796cbaa988aa93d6592949b",
+    ("step", 0.00025, False, True):
+        "b26a3648a6025bab081bca199447853d031ff8b28c77e030c477502713854309",
+    ("step", 0.00025, True, False):
+        "f68fe6fabb142d3b40fd1bd4a93d6e0a3dd2daf342adb6e6c639dc1ecd17b70f",
+    ("step", 0.00025, True, True):
+        "77230d45a8f2da9ee50ac2d3fbdba99f40a731314007901081752ac251dc360a",
+    ("pick_sweep", None, False, False):
+        "7b54675b83e2c288ba89526a68ff564c2e3cda9941d1280f71578ba56983c6d4",
+    ("pick_sweep", None, False, True):
+        "93f275d19b7e537f01824041675eb1f701b7d081fd2ce220076d6806529b4403",
+    ("pick_sweep", None, True, False):
+        "ca605abea4f718d3e57d205c942db150e83f2babfb33ceb1477e3bd2c79f9e11",
+    ("pick_sweep", None, True, True):
+        "cbb3358f3ae15f120d63c84502a4b01b78606d96645f71f70250628d0ae89dc0",
+    ("pick_sweep", 0.00025, False, False):
+        "4b5ffc9892cb4c8f1e4c894a1c6e18e872e534e0a76537a56003dd7b05540c2b",
+    ("pick_sweep", 0.00025, False, True):
+        "a4ab48f979cd7b6ea416a89c09a50f8cf33c8ea47416339d97ad5be50050553b",
+    ("pick_sweep", 0.00025, True, False):
+        "e738918de9e0fefad7f17405a2d06cc6c4b81121b46776532f7228c908fc46eb",
+    ("pick_sweep", 0.00025, True, True):
+        "c52df83706fb5ba537ac80e593692f1746b7c4ea1edb4c0e883a1839f5578bc0",
+}
+
+
+@pytest.mark.parametrize("trajectory,dt,disturbed,gravity", PIN_CASES)
+def test_run_simulation_bytes_are_pinned(trajectory, dt, disturbed, gravity):
+    res = run_simulation(_pin_config(dt, disturbed, gravity), trajectory)
+    assert _result_digest(res) == PIN_DIGESTS[trajectory, dt, disturbed, gravity]
+
+
+def _reference_run(config, trajectory):
+    """The recording loop written out over the public per-step functions."""
+    sched = scripted_trajectories(trajectory, config.joint_count, config.duration_s)
+    jc, dt = config.joint_count, config.dt_effective
+    amplitude = np.random.default_rng(config.seed).uniform(0.9, 1.1, size=jc)
+    lead, foll = ArmState.zeros(jc), ArmState.zeros(jc)
+    lo, fo = ObserverState.zeros(jc), ObserverState.zeros(jc)
+    rec_l, rec_f, cmds_l, cmds_f, gaps = [], [], [], [], []
+
+    def external(t, arm):
+        out = np.zeros(jc)
+        for d in config.disturbances:
+            if d.arm == arm and d.start_s <= t < d.end_s:
+                out[d.joint] += d.torque
+        return out
+
+    for k in range(config.sample_count):
+        cmd_l, cmd_f, tres_l, tres_f = control_commands(
+            lead, foll, lo, fo, config.joints, config.gains
+        )
+        rec_l.append(np.stack([lead.angle, lead.velocity, tres_l], axis=-1))
+        rec_f.append(np.stack([foll.angle, foll.velocity, tres_f], axis=-1))
+        cmds_l.append(cmd_l)
+        cmds_f.append(cmd_f)
+        gaps.append(float(np.max(np.abs(lead.angle - foll.angle))))
+        if k + 1 == config.sample_count:
+            break
+        for i in range(config.substeps):
+            t = k / config.robot_rate_hz + i * dt
+            ref = amplitude * sched.value(t)
+            op = OPERATOR_KP * (ref - lead.angle) - OPERATOR_KD * lead.velocity
+            res = bilateral_step(
+                lead, foll, lo, fo, config.joints, config.gains, dt,
+                operator_torque=op + external(t, "leader"),
+                environment_torque=external(t, "follower"),
+            )
+            lead, foll, lo, fo = res.leader, res.follower, res.leader_obs, res.follower_obs
+    return np.array(rec_l), np.array(rec_f), np.array(cmds_l), np.array(cmds_f), max([0.0] + gaps)
+
+
+def test_run_simulation_matches_bilateral_step_loop():
+    config = _pin_config(2.5e-4, disturbed=True, gravity=True)
+    res = run_simulation(config, "pick_sweep")
+    rec_l, rec_f, cmds_l, cmds_f, gap = _reference_run(config, "pick_sweep")
+    for got, want in (
+        (res.episode.leader.data, rec_l),
+        (res.episode.follower.data, rec_f),
+        (res.leader_commands, cmds_l),
+        (res.follower_commands, cmds_f),
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert repr(res.max_position_gap) == repr(gap)
+    for rec in res.episode.frame_streams[0].records:
+        assert rec.payload == rec_f[rec.seq * config.ratio, :, 0].tobytes()
+
+
+def test_run_simulation_raises_on_divergence():
+    config = dataclasses.replace(default_sim_config(), gains=ControllerGains(kp=1e7))
+    with pytest.raises(NumericalDivergence) as exc:
+        run_simulation(config, "step")
+    assert str(exc.value) == "leader state magnitude 2.162e+06 exceeds limit 1.000e+06"
