@@ -3,12 +3,8 @@
 With robot samples R times denser than camera frames, each frame has R - 1
 samples strictly between itself and the next frame.  Pairing a frame with a
 nearby sample instead of its own anchor yields a new, equally valid aligned
-episode.  Three windows are supported:
-
-  downsample  keep only the anchor sample            offsets {0}
-  forward     anchor plus everything up to the next  offsets {0 .. R-1}
-  dabi        window centred on the anchor, biased   offsets {-(R-1)//2 ..
-              forward when R - 1 is odd                       R-1 - (R-1)//2}
+episode.  Each method's window of offsets is `make_offsets` (downsample,
+forward, dabi).
 
 Every offset in the window produces one sub-episode, so forward and dabi
 expand a batch R-fold while downsample keeps it at size.  Indices that fall
@@ -30,8 +26,8 @@ from .model import (
     DatasetManifest,
     Episode,
     Method,
-    OffsetSet,
     Provenance,
+    make_offsets,
     step_dtype,
 )
 
@@ -53,23 +49,6 @@ def source_indices(
     offs = np.asarray(offsets, dtype=np.int64).reshape(-1, 1)
     raw = np.arange(frame_count, dtype=np.int64) * ratio + offs
     return raw, np.clip(raw, 0, sample_count - 1)
-
-
-def make_offsets(method: Method, ratio: int) -> OffsetSet:
-    """Build the offset window one method uses at one rate ratio."""
-    if ratio < 1:
-        raise ValidationFailure(f"ratio must be >= 1, got {ratio}")
-    between = ratio - 1  # samples strictly between adjacent frame anchors
-    if method is Method.DOWNSAMPLE:
-        offsets: Sequence[int] = (0,)
-    elif method is Method.FORWARD:
-        offsets = range(0, ratio)
-    elif method is Method.DABI:
-        back = between // 2
-        offsets = range(-back, between - back + 1)
-    else:
-        raise ValidationFailure(f"unknown method {method!r}")
-    return OffsetSet(method=method, offsets=tuple(offsets))
 
 
 def _sub_episodes(
@@ -128,7 +107,7 @@ def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
     ids = [ep.episode_id for ep in episodes]
     if len(set(ids)) != len(ids):
         raise ValidationFailure(f"duplicate episode ids in batch: {ids}")
-    offsets = make_offsets(method, ratio).offsets
+    offsets = make_offsets(method, ratio)
     subs = [sub for ep in episodes for sub in _sub_episodes(ep, offsets, method)]
     return AugmentedDataset(
         episodes=tuple(subs),
@@ -188,7 +167,7 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
         for ep in dataset.episodes
         if ep.provenance.source_episode_id == episode.episode_id
     ]
-    expected = make_offsets(dataset.manifest.method, ratio).offsets
+    expected = make_offsets(dataset.manifest.method, ratio)
     got = tuple(ep.provenance.offset for ep in subs)
     if tuple(sorted(got)) != expected:
         raise ProvenanceMismatch(

@@ -16,7 +16,6 @@ import shutil
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -172,37 +171,37 @@ def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> tuple[by
     return payloads[name], directory / name
 
 
-@dataclass(frozen=True)
-class EpisodeManifest:
-    """Typed view of an episode directory's manifest."""
+def _write_artifact(
+    kind: str, fields: dict, payloads: dict[str, bytes], out_dir: str | Path, overwrite: bool
+) -> Path:
+    """Publish payloads plus the manifest that declares them; returns the manifest path."""
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        **fields,
+        "files": {
+            name: {"bytes": len(data), "crc32": _crc(data)}
+            for name, data in sorted(payloads.items())
+        },
+    }
+    files = {**payloads, "manifest.json": _json_bytes(manifest)}
+    return _publish_dir(Path(out_dir), files, overwrite) / "manifest.json"
 
-    episode_id: str
-    robot_rate_hz: int
-    frame_rate_hz: int
-    joints: int
-    sample_count: int
-    frame_count: int
-    cameras: tuple[str, ...]
-    meta: dict[str, str]
-    checksums: dict[str, str]
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "EpisodeManifest":
-        try:
-            files = raw.get("files", {})
-            return cls(
-                episode_id=str(raw["episode_id"]),
-                robot_rate_hz=int(raw["robot_rate_hz"]),
-                frame_rate_hz=int(raw["frame_rate_hz"]),
-                joints=int(raw["joints"]),
-                sample_count=int(raw["sample_count"]),
-                frame_count=int(raw["frame_count"]),
-                cameras=tuple(raw["cameras"]),
-                meta={str(k): str(v) for k, v in raw.get("meta", {}).items()},
-                checksums={str(k): str(v["crc32"]) for k, v in files.items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"bad episode manifest: {exc!r}") from exc
+def _open_artifact(
+    path: str | Path, kind: str, manifest: dict | None, payloads: dict[str, bytes] | None
+) -> tuple[Path, dict, dict[str, bytes]]:
+    """The directory, manifest and verified payloads of one artifact of `kind`.
+
+    A manifest or payloads the caller already holds are used as given.
+    """
+    directory = _as_directory(path)
+    raw = load_manifest(directory) if manifest is None else manifest
+    if raw["kind"] != kind:
+        raise ParseFailure(f"{directory}: expected kind {kind!r}, found {raw['kind']!r}")
+    if payloads is None:
+        payloads = verify_checksums(directory, raw)
+    return directory, raw, payloads
 
 
 def _robot_bytes(stream: RobotStream) -> bytes:
@@ -220,15 +219,13 @@ def _frames_bytes(fs: FrameStream) -> bytes:
 
 def write_episode(episode: Episode, out_dir: str | Path, overwrite: bool = False) -> Path:
     """Persist one episode; returns the path of the manifest written."""
-    files: dict[str, bytes] = {
+    payloads = {
         _LEADER_FILE: _robot_bytes(episode.leader),
         _FOLLOWER_FILE: _robot_bytes(episode.follower),
     }
     for fs in episode.frame_streams:
-        files[f"frames_{fs.camera_id}.bin"] = _frames_bytes(fs)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "episode",
+        payloads[f"frames_{fs.camera_id}.bin"] = _frames_bytes(fs)
+    fields = {
         "episode_id": episode.episode_id,
         "robot_rate_hz": episode.leader.rate_hz,
         "frame_rate_hz": episode.frame_streams[0].rate_hz,
@@ -237,13 +234,8 @@ def write_episode(episode: Episode, out_dir: str | Path, overwrite: bool = False
         "frame_count": episode.frame_count,
         "cameras": list(episode.camera_ids),
         "meta": dict(episode.meta),
-        "files": {
-            name: {"bytes": len(data), "crc32": _crc(data)}
-            for name, data in sorted(files.items())
-        },
     }
-    files["manifest.json"] = _json_bytes(manifest)
-    return _publish_dir(Path(out_dir), files, overwrite) / "manifest.json"
+    return _write_artifact("episode", fields, payloads, out_dir, overwrite)
 
 
 def _parse_robot(
@@ -298,27 +290,31 @@ def read_episode(
     already holds the parsed manifest, and the payloads verify_checksums
     returned for it, passes them in; nothing is then read or hashed again.
     """
-    in_dir = _as_directory(in_dir)
-    raw = load_manifest(in_dir) if manifest is None else manifest
-    if raw["kind"] != "episode":
-        raise ParseFailure(f"{in_dir}: expected kind 'episode', found {raw['kind']!r}")
-    if payloads is None:
-        payloads = verify_checksums(in_dir, raw)
-    man = EpisodeManifest.from_dict(raw)
+    in_dir, raw, payloads = _open_artifact(in_dir, "episode", manifest, payloads)
+    try:
+        episode_id = str(raw["episode_id"])
+        robot_rate_hz = int(raw["robot_rate_hz"])
+        frame_rate_hz = int(raw["frame_rate_hz"])
+        joints = int(raw["joints"])
+        sample_count = int(raw["sample_count"])
+        frame_count = int(raw["frame_count"])
+        cameras = tuple(raw["cameras"])
+        meta = {str(k): str(v) for k, v in raw.get("meta", {}).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseFailure(f"bad episode manifest: {exc!r}") from exc
     leader, follower = (
-        _parse_robot(payloads, in_dir, name, man.sample_count, man.joints, man.robot_rate_hz)
+        _parse_robot(payloads, in_dir, name, sample_count, joints, robot_rate_hz)
         for name in (_LEADER_FILE, _FOLLOWER_FILE)
     )
     streams = tuple(
-        _parse_frames(payloads, in_dir, cam, man.frame_rate_hz, man.frame_count)
-        for cam in man.cameras
+        _parse_frames(payloads, in_dir, cam, frame_rate_hz, frame_count) for cam in cameras
     )
     return Episode(
-        episode_id=man.episode_id,
+        episode_id=episode_id,
         leader=leader,
         follower=follower,
         frame_streams=streams,
-        meta=man.meta,
+        meta=meta,
     )
 
 
@@ -337,11 +333,11 @@ def _parse_steps(
 
 def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: bool = False) -> Path:
     """Persist an augmented dataset; returns the path of the manifest written."""
-    files: dict[str, bytes] = {}
+    payloads: dict[str, bytes] = {}
     entries = []
     for i, sub in enumerate(dataset.episodes):
         name = f"steps-{i:05d}.bin"
-        files[name] = sub.rows.tobytes()
+        payloads[name] = sub.rows.tobytes()
         entries.append(
             {
                 "file": name,
@@ -352,20 +348,13 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
                 "cameras": list(sub.cameras),
             }
         )
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "dataset",
+    fields = {
         "method": dataset.manifest.method.value,
         "ratio": dataset.manifest.ratio,
         "source_episode_ids": list(dataset.manifest.source_episode_ids),
         "episodes": entries,
-        "files": {
-            name: {"bytes": len(data), "crc32": _crc(data)}
-            for name, data in sorted(files.items())
-        },
     }
-    files["manifest.json"] = _json_bytes(manifest)
-    return _publish_dir(Path(out_dir), files, overwrite) / "manifest.json"
+    return _write_artifact("dataset", fields, payloads, out_dir, overwrite)
 
 
 def read_dataset(
@@ -379,12 +368,7 @@ def read_dataset(
     Accepts either the directory or its manifest.json path.  manifest and
     payloads work as in read_episode.
     """
-    in_dir = _as_directory(in_dir)
-    raw = load_manifest(in_dir) if manifest is None else manifest
-    if raw["kind"] != "dataset":
-        raise ParseFailure(f"{in_dir}: expected kind 'dataset', found {raw['kind']!r}")
-    if payloads is None:
-        payloads = verify_checksums(in_dir, raw)
+    in_dir, raw, payloads = _open_artifact(in_dir, "dataset", manifest, payloads)
     try:
         method = Method.from_name(str(raw["method"]))
         ratio = int(raw["ratio"])

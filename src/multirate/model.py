@@ -37,6 +37,27 @@ class Method(enum.Enum):
             ) from None
 
 
+def make_offsets(method: Method, ratio: int) -> tuple[int, ...]:
+    """The per-frame offset window one method uses at rate ratio R.
+
+      downsample  keep only the anchor sample            offsets {0}
+      forward     anchor plus everything up to the next  offsets {0 .. R-1}
+      dabi        window centred on the anchor, biased   offsets {-(R-1)//2 ..
+                  forward when R - 1 is odd                       R-1 - (R-1)//2}
+    """
+    if ratio < 1:
+        raise ValidationFailure(f"ratio must be >= 1, got {ratio}")
+    between = ratio - 1  # samples strictly between adjacent frame anchors
+    if method is Method.DOWNSAMPLE:
+        return (0,)
+    if method is Method.FORWARD:
+        return tuple(range(ratio))
+    if method is Method.DABI:
+        back = between // 2
+        return tuple(range(-back, between - back + 1))
+    raise ValidationFailure(f"unknown method {method!r}")
+
+
 def exact_ratio(robot_rate_hz: int, frame_rate_hz: int) -> int:
     """Return robot_rate/frame_rate, requiring an exact integer >= 1."""
     if robot_rate_hz < 1 or frame_rate_hz < 1:
@@ -252,38 +273,6 @@ class Episode:
 
 
 @dataclass(frozen=True)
-class OffsetSet:
-    """Per-frame index offsets that one augmentation method applies."""
-
-    method: Method
-    offsets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offsets", tuple(int(o) for o in self.offsets))
-        offs = self.offsets
-        if len(offs) < 1:
-            raise ValidationFailure("offset set must be non-empty")
-        if list(offs) != list(range(offs[0], offs[0] + len(offs))):
-            raise ValidationFailure(f"offsets must be consecutive, got {offs}")
-        if self.method is Method.DOWNSAMPLE:
-            if offs != (0,):
-                raise ValidationFailure(f"downsample offsets must be (0,), got {offs}")
-        elif self.method is Method.FORWARD:
-            if offs[0] != 0:
-                raise ValidationFailure(f"forward offsets must start at 0, got {offs}")
-        else:
-            between = len(offs) - 1  # samples strictly between adjacent frames
-            if offs[0] != -(between // 2) or offs[-1] != between - between // 2:
-                raise ValidationFailure(
-                    f"dabi offsets must span [-(n//2), n - n//2] for n={between}, got {offs}"
-                )
-
-    @property
-    def ratio(self) -> int:
-        return len(self.offsets)
-
-
-@dataclass(frozen=True)
 class Provenance:
     """Where one aligned sub-episode came from."""
 
@@ -325,7 +314,9 @@ class AlignedEpisode:
         object.__setattr__(self, "cameras", tuple(self.cameras))
         if len(self.cameras) < 1:
             raise ValidationFailure("aligned episode needs at least one camera")
-        if rows.flags.writeable:
+        # keep without a copy only memory nothing can change: a fresh read-only
+        # array, or a view of bytes (a loaded payload)
+        if rows.flags.writeable or (rows.base is not None and not _views_immutable_bytes(rows)):
             rows = rows.copy()
             rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -396,9 +387,10 @@ class DatasetManifest:
 class AugmentedDataset:
     """All aligned sub-episodes produced from one batch of source episodes.
 
-    Cardinality is fixed by the manifest: downsample keeps one sub-episode
-    per source, forward and dabi keep `ratio` per source.  Sub-episodes are
-    ordered source-major, then by ascending offset.
+    Cardinality is fixed by the manifest: one sub-episode per source and
+    offset of the method's window (make_offsets), so downsample keeps one per
+    source, forward and dabi keep `ratio`.  Sub-episodes are ordered
+    source-major, then by ascending offset.
     """
 
     episodes: tuple[AlignedEpisode, ...]
@@ -406,7 +398,7 @@ class AugmentedDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "episodes", tuple(self.episodes))
-        per_source = 1 if self.manifest.method is Method.DOWNSAMPLE else self.manifest.ratio
+        per_source = len(make_offsets(self.manifest.method, self.manifest.ratio))
         expected = per_source * len(self.manifest.source_episode_ids)
         if len(self.episodes) != expected:
             raise ValidationFailure(

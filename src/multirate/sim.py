@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -722,35 +722,14 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     """JSON-friendly form of a config.  Gravity callables cannot be serialized."""
     if any(j.gravity_torque_fn is not None for j in config.joints):
         raise ValidationFailure("configs with gravity_torque_fn are not serializable")
-    return {
-        "joints": [
-            {"inertia": j.inertia, "viscous_friction": j.viscous_friction}
-            for j in config.joints
-        ],
-        "gains": {
-            "kp": config.gains.kp,
-            "kd": config.gains.kd,
-            "kf": config.gains.kf,
-            "dob_cutoff": config.gains.dob_cutoff,
-            "rfob_cutoff": config.gains.rfob_cutoff,
+    return asdict(
+        config,
+        dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in items
+            if k != "gravity_torque_fn"
         },
-        "robot_rate_hz": config.robot_rate_hz,
-        "frame_rate_hz": config.frame_rate_hz,
-        "duration_s": config.duration_s,
-        "seed": config.seed,
-        "dt": config.dt,
-        "disturbances": [
-            {
-                "joint": d.joint,
-                "start_s": d.start_s,
-                "end_s": d.end_s,
-                "torque": d.torque,
-                "arm": d.arm,
-            }
-            for d in config.disturbances
-        ],
-        "cameras": list(config.cameras),
-    }
+    )
 
 
 def sim_config_from_dict(raw: dict) -> SimConfig:

@@ -89,7 +89,7 @@ def test_c2_offset_window_contract(capsys):
                 Method.DABI: list(range(-(n // 2), n - n // 2 + 1)),
             }
             for method in Method:
-                got = list(make_offsets(method, ratio).offsets)
+                got = list(make_offsets(method, ratio))
                 if got != want[method]:
                     bad.append((method.value, ratio, got))
                 if 0 not in got or got != sorted(got):
@@ -110,7 +110,7 @@ def test_c3_coverage_evenness(capsys):
         mismatches = []
         for method in Method:
             expected = np.zeros(100, dtype=np.int64)
-            for off in make_offsets(method, 10).offsets:
+            for off in make_offsets(method, 10):
                 for k in range(10):
                     expected[min(max(k * 10 + off, 0), 99)] += 1
             rep = evenness_report(augment([ep], method), ep)

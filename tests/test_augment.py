@@ -39,13 +39,13 @@ OFFSET_ORACLE = {
 @pytest.mark.parametrize("key,expected", sorted(OFFSET_ORACLE.items(), key=str))
 def test_make_offsets_oracle(key, expected):
     method, ratio = key
-    assert list(make_offsets(method, ratio).offsets) == expected
+    assert list(make_offsets(method, ratio)) == expected
 
 
 @pytest.mark.parametrize("ratio", range(1, 13))
 @pytest.mark.parametrize("method", list(Method))
 def test_offset_window_contract(method, ratio):
-    offs = make_offsets(method, ratio).offsets
+    offs = make_offsets(method, ratio)
     assert 0 in offs
     assert list(offs) == sorted(offs)
     assert list(offs) == list(range(offs[0], offs[-1] + 1))
@@ -62,9 +62,9 @@ def test_offset_window_contract(method, ratio):
 
 @pytest.mark.parametrize("ratio", range(1, 13))
 def test_offset_window_mean(ratio):
-    forward = make_offsets(Method.FORWARD, ratio).offsets
+    forward = make_offsets(Method.FORWARD, ratio)
     assert sum(forward) / len(forward) == (ratio - 1) / 2
-    dabi = make_offsets(Method.DABI, ratio).offsets
+    dabi = make_offsets(Method.DABI, ratio)
     assert sum(dabi) / len(dabi) in (0.0, 0.5)
 
 
@@ -88,7 +88,7 @@ def test_episode_ratio():
 def test_source_indices_match_scalar_reference(method, ratio, frame_count, extra):
     # extra < 0 cuts the recording short of the last anchor, so both ends clamp
     t_len = max(1, (frame_count - 1) * ratio + 1 + extra)
-    offsets = make_offsets(method, ratio).offsets
+    offsets = make_offsets(method, ratio)
     raw, clipped = source_indices(offsets, ratio, frame_count, t_len)
     assert raw.dtype == clipped.dtype == np.int64
     assert raw.shape == clipped.shape == (len(offsets), frame_count)
@@ -153,7 +153,7 @@ def test_augment_cardinality(method, per_source):
     # source-major, offsets ascending
     pairs = [(s.provenance.source_episode_id, s.provenance.offset) for s in ds.episodes]
     want = [
-        (f"ep-{i}", off) for i in range(3) for off in make_offsets(method, 10).offsets
+        (f"ep-{i}", off) for i in range(3) for off in make_offsets(method, 10)
     ]
     assert pairs == want
 
@@ -224,7 +224,7 @@ def test_evenness_rejects_ratio_mismatch():
 @given(episode_strategy(), st.sampled_from(list(Method)))
 def test_augment_structure_property(ep, method):
     ds = augment([ep], method)
-    offs = make_offsets(method, ep.ratio).offsets
+    offs = make_offsets(method, ep.ratio)
     assert ds.episode_count == len(offs)
     t_len = ep.sample_count
     for sub, off in zip(ds.episodes, offs):

@@ -224,9 +224,9 @@ def test_validate_reads_only_source_episodes(tmp_path, monkeypatch, capsys):
     read = []
     original = cli.read_episode
 
-    def counting(path):
+    def counting(path, **kwargs):
         read.append(Path(path).name)
-        return original(path)
+        return original(path, **kwargs)
 
     monkeypatch.setattr(cli, "read_episode", counting)
     assert main(["validate", str(out)]) == 0
@@ -258,6 +258,26 @@ def test_validate_reads_each_payload_once(tmp_path, monkeypatch, capsys):
     reads.clear()
     assert main(["validate", str(root / "ep-0")]) == 0
     assert sorted(reads) == payloads(root / "ep-0")
+
+
+@pytest.mark.parametrize("command", [
+    "validate {tmp}/ds", "validate {tmp}/episodes/ep-0", "stats {tmp}/ds",
+    "stats {tmp}/episodes/ep-0", "augment {tmp}/episodes --method dabi --out {tmp}/ds2",
+])
+def test_each_manifest_is_read_at_most_once(tmp_path, monkeypatch, capsys, command):
+    root, eps = _write_episode_tree(tmp_path)
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds")]) == 0
+    reads = []
+    original = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if self.name == "manifest.json":
+            reads.append(self.parent.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    assert main(command.format(tmp=tmp_path).split()) == 0
+    assert reads and sorted(reads) == sorted(set(reads))
 
 
 def test_validate_missing_manifest(tmp_path, capsys):
@@ -352,3 +372,86 @@ def test_installed_console_entrypoint_matches_declaration():
     dist = importlib.metadata.distribution("multirate")
     installed = {e.name: e.value for e in dist.entry_points if e.group == "console_scripts"}
     assert installed == _declared_scripts()
+
+
+def _validate_rows(out, tmp_path):
+    report = tmp_path / "report.json"
+    rc = main(["validate", str(out), "--report", str(report)])
+    return rc, [
+        (r["name"], r["status"], r["detail"]) for r in json.loads(report.read_text())["checks"]
+    ]
+
+
+def _rewrite_manifest(out, edit):
+    """Edit a dataset manifest in place; payloads and their crc32 stay valid."""
+    raw = json.loads((out / "manifest.json").read_text())
+    edit(raw)
+    (out / "manifest.json").write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+
+
+def test_validate_reports_offset_window_failure(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    _rewrite_manifest(out, lambda raw: raw["episodes"][3].update(offset=7))
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    window = "[-4, -3, -2, 0, 1, 2, 3, 4, 5, 7]"
+    expected = "[-4, -3, -2, -1, 0, 1, 2, 3, 4, 5]"
+    assert rows == [
+        ("manifest-parse", "ok", "kind=dataset method=dabi"),
+        ("checksums", "ok", "20 files"),
+        ("read", "ok", "20 sub-episodes from 2 sources"),
+        ("offset-window", "fail",
+         f"MultirateError: source ep-0: offsets {window} != expected {expected}"),
+        ("ordering", "fail",
+         "MultirateError: sub-episodes are not source-major, offset-ascending"),
+        ("re-derivation", "fail",
+         "MultirateError: source ep-0 offset 7: stored steps differ from re-derived steps"),
+        ("coverage", "fail",
+         f"ProvenanceMismatch: sub-episode offsets {window} do not match method dabi "
+         f"at ratio 10 (expected {expected})"),
+    ]
+    assert capsys.readouterr().out.endswith("4 check(s) failed\n")
+
+
+def test_validate_reports_ordering_failure(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "forward", "--out", str(out)]) == 0
+
+    def swap(raw):  # last sub-episode of ep-0 and first of ep-1 trade places
+        entries = raw["episodes"]
+        entries[9], entries[10] = entries[10], entries[9]
+
+    _rewrite_manifest(out, swap)
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert rows == [
+        ("manifest-parse", "ok", "kind=dataset method=forward"),
+        ("checksums", "ok", "20 files"),
+        ("read", "ok", "20 sub-episodes from 2 sources"),
+        ("offset-window", "ok", "window 0..9 per source"),
+        ("ordering", "fail",
+         "MultirateError: sub-episodes are not source-major, offset-ascending"),
+        ("re-derivation", "ok", "re-derived 20 sub-episodes from 2 sources"),
+        ("coverage", "ok", "coverage exact for 2 sources"),
+    ]
+    assert capsys.readouterr().out.endswith("1 check(s) failed\n")
+
+
+def test_validate_report_of_clean_episode(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path, n=1)
+    rc, rows = _validate_rows(root / "ep-0", tmp_path)
+    assert rc == 0
+    assert rows == [
+        ("manifest-parse", "ok", "kind=episode id=ep-0"),
+        ("checksums", "ok", "3 files"),
+        ("stream-invariants", "ok", "samples=100 frames=10 ratio=10 joints=2"),
+    ]
+    assert (tmp_path / "report.json").read_text() == json.dumps(
+        {"command": "validate", "checks": [
+            {"name": n, "status": s, "detail": d} for n, s, d in rows
+        ]},
+        indent=2, sort_keys=True,
+    ) + "\n"

@@ -234,16 +234,16 @@ def test_episode_directory_layout(tmp_path):
 
 
 def test_episode_manifest_lists_checksums(tmp_path, episode):
-    from multirate.io import EpisodeManifest, load_manifest
+    from multirate.io import load_manifest
 
-    man = EpisodeManifest.from_dict(load_manifest(write_episode(episode, tmp_path / "ep")))
-    assert set(man.checksums) == {
+    files = load_manifest(write_episode(episode, tmp_path / "ep"))["files"]
+    assert set(files) == {
         "leader.f64",
         "follower.f64",
         "frames_a.bin",
         "frames_b.bin",
     }
-    assert all(len(v) == 8 for v in man.checksums.values())
+    assert all(len(v["crc32"]) == 8 for v in files.values())
 
 
 def test_failed_write_leaves_no_target(tmp_path):

@@ -11,7 +11,6 @@ from multirate.model import (
     FrameRecord,
     FrameStream,
     Method,
-    OffsetSet,
     Provenance,
     RobotStream,
     exact_ratio,
@@ -160,27 +159,6 @@ def test_episode_equality_is_by_content():
     assert a != c
 
 
-@pytest.mark.parametrize(
-    "method,offsets,ok",
-    [
-        (Method.DOWNSAMPLE, (0,), True),
-        (Method.DOWNSAMPLE, (0, 1), False),
-        (Method.FORWARD, (0, 1, 2), True),
-        (Method.FORWARD, (1, 2, 3), False),
-        (Method.DABI, (-4, -3, -2, -1, 0, 1, 2, 3, 4, 5), True),
-        (Method.DABI, (-5, -4, -3, -2, -1, 0, 1, 2, 3, 4), False),
-        (Method.DABI, (0,), True),
-        (Method.FORWARD, (0, 2, 3), False),
-    ],
-)
-def test_offset_set_validation(method, offsets, ok):
-    if ok:
-        assert OffsetSet(method=method, offsets=offsets).ratio == len(offsets)
-    else:
-        with pytest.raises(ValidationFailure):
-            OffsetSet(method=method, offsets=offsets)
-
-
 def test_method_from_name():
     assert Method.from_name("dabi") is Method.DABI
     assert Method.from_name("Forward") is Method.FORWARD
@@ -237,3 +215,18 @@ def test_aligned_episode_validation():
 def test_frame_stream_rejects_path_like_camera_id(name):
     with pytest.raises(ValidationFailure):
         FrameStream(camera_id=name, rate_hz=10, records=(FrameRecord(seq=0, payload=b""),))
+
+
+def test_aligned_episode_copies_views_of_changeable_memory():
+    rows = _rows(joints=1, steps=3)
+    view = rows.view()
+    view.setflags(write=False)
+    sub = AlignedEpisode(rows=view, cameras=("cam",), provenance=PROV)
+    rows["observation"][1, 0] = np.nan  # written through the base, past the finiteness check
+    assert np.isfinite(sub.observation).all()
+    # arrays nothing else can change are kept as they are
+    fresh = _rows(joints=1, steps=3)
+    fresh.setflags(write=False)
+    assert AlignedEpisode(rows=fresh, cameras=("cam",), provenance=PROV).rows is fresh
+    loaded = np.frombuffer(_rows(joints=1, steps=3).tobytes(), dtype=step_dtype(1))
+    assert AlignedEpisode(rows=loaded, cameras=("cam",), provenance=PROV).rows is loaded
