@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .augment import augment, evenness_report, slice_episode, source_indices
-from .errors import MultirateError
+from .errors import MultirateError, NumericalDivergence
 from .io import (
     load_manifest,
     read_dataset,
@@ -34,7 +34,14 @@ from .model import (
     aligned_content_equal,
     make_offsets,
 )
-from .sim import TRAJECTORY_NAMES, default_sim_config, load_sim_config, run_simulation
+from .sim import (
+    TRAJECTORY_NAMES,
+    SimConfig,
+    SimResult,
+    default_sim_config,
+    load_sim_config,
+    run_simulations,
+)
 
 
 def _write_report(path: str | None, report: dict) -> None:
@@ -44,13 +51,31 @@ def _write_report(path: str | None, report: dict) -> None:
         )
 
 
+# Seeds simulated together; bounds the (N, 2, T, J, 3) stream buffer of one batch.
+_SIM_CHUNK = 64
+
+
+def _simulated(config: SimConfig, trajectory: str, seeds: range) -> Iterator[SimResult]:
+    """Results in seed order, simulated a chunk of seeds at a time.
+
+    A chunk that diverges is rerun one seed at a time, so the seeds before
+    the first diverging one are still yielded and its own message is raised.
+    """
+    for start in range(0, len(seeds), _SIM_CHUNK):
+        chunk = seeds[start : start + _SIM_CHUNK]
+        try:
+            results = run_simulations(config, trajectory, chunk)
+        except NumericalDivergence:
+            results = (r for seed in chunk for r in run_simulations(config, trajectory, [seed]))
+        yield from results
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config) if args.config else default_sim_config()
     out_root = Path(args.out)
     written = []
-    for i in range(args.count):
-        cfg = replace(config, seed=args.base_seed + i)
-        result = run_simulation(cfg, args.trajectory)
+    seeds = range(args.base_seed, args.base_seed + args.count)
+    for result in _simulated(config, args.trajectory, seeds):
         ep = result.episode
         dest = write_episode(ep, out_root / ep.episode_id, overwrite=args.force).parent
         written.append(ep.episode_id)
@@ -122,14 +147,15 @@ def _find_source_episodes(
             candidates.extend(sorted(p for p in path.iterdir() if p.is_dir()))
     parent = dataset_dir.resolve().parent
     for level in (parent.glob("*"), parent.glob("*/*")):
-        for p in sorted(level):
-            if p.resolve() == dataset_dir.resolve():
-                continue
-            candidates.append(p)
+        candidates.extend(sorted(level))
     out: dict[str, Episode] = {}
+    # one directory may be reached by several spellings; each is read once
+    seen = {dataset_dir.resolve()}
     for path in candidates:
-        if not (path / "manifest.json").is_file():
+        resolved = path.resolve()
+        if resolved in seen or not (path / "manifest.json").is_file():
             continue
+        seen.add(resolved)
         try:
             man = load_manifest(path)
         except MultirateError:

@@ -149,6 +149,8 @@ def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
         if not is_plain_name(name):
             raise ParseFailure(f"{directory}/manifest.json: file name {name!r} is not plain")
         stamp = files[name]
+        if not isinstance(stamp, dict):
+            raise ParseFailure(f"{directory}/manifest.json: files entry {name!r} is not an object")
         path = directory / name
         if not path.is_file():
             raise ValidationFailure(f"{directory}: declared file {name} is missing")
@@ -300,7 +302,7 @@ def read_episode(
         frame_count = int(raw["frame_count"])
         cameras = tuple(raw["cameras"])
         meta = {str(k): str(v) for k, v in raw.get("meta", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad episode manifest: {exc!r}") from exc
     leader, follower = (
         _parse_robot(payloads, in_dir, name, sample_count, joints, robot_rate_hz)

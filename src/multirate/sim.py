@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -244,11 +244,13 @@ class _Plant:
         return torque - gravity
 
 
-# The array helpers below hold the one copy of the physics.  They broadcast
-# over (..., J); run_simulation calls them on arm-stacked (2, J) arrays with
-# the leader in row 0 and the follower in row 1, and the public per-step
-# functions are thin wrappers over them.  Each keeps the operation order of
-# the scalar formulas in its wrapper's docstring, so results agree bit for bit.
+# The array helpers below hold the one copy of the physics.  They work on
+# seed- and arm-stacked (N, 2, J) arrays: row n is one seed, and within it
+# arm 0 is the leader and arm 1 the follower.  run_simulations steps N seeds
+# at once; the public per-step functions are thin wrappers over a batch of
+# one.  Every operation is elementwise and keeps the operation order of the
+# scalar formulas in its wrapper's docstring, so each row agrees bit for bit
+# with a run of that seed alone.
 
 _ARM_NAMES = ("leader", "follower")
 _ARM_SIGN = np.array([[-1.0], [1.0]])  # the gap pulls the two arms toward each other
@@ -298,28 +300,33 @@ def _commands(
     dob_estimate: np.ndarray,
     reaction: np.ndarray,
 ) -> np.ndarray:
-    """Commands of both arms from arm-stacked (2, J) state, observer and reaction arrays."""
-    gap_accel = gains.kp * (angle[0] - angle[1]) + gains.kd * (velocity[0] - velocity[1])
-    torque_sum = reaction[0] + reaction[1]
+    """Commands of both arms from (N, 2, J) state, observer and reaction arrays."""
+    gap = angle[:, 0] - angle[:, 1]
+    gap_accel = gains.kp * gap + gains.kd * (velocity[:, 0] - velocity[:, 1])
+    torque_sum = reaction[:, 0] + reaction[:, 1]
     # -1.0 * (g / 2.0) is bit-identical to (-g) / 2.0: halving rounds symmetrically
     return (
-        plant.inertia * (_ARM_SIGN * (gap_accel / 2.0))
-        - gains.kf * torque_sum / 2.0
+        plant.inertia * (_ARM_SIGN * (gap_accel[:, None] / 2.0))
+        - gains.kf * torque_sum[:, None] / 2.0
         + dob_estimate
     )
 
 
 def _check_divergence(angle: np.ndarray, velocity: np.ndarray, state_limit: float) -> None:
-    """Raise NumericalDivergence if an arm's (2, J) state is non-finite or beyond the limit.
+    """Raise NumericalDivergence if an arm's (N, 2, J) state is non-finite or beyond the limit.
 
-    The leader is checked first.  NaN fails the comparison, so it raises too.
+    The message names the first failing arm in seed order, the leader before
+    the follower.  NaN fails the comparison, so it raises too.
     """
-    worst = np.maximum(np.abs(angle).max(-1), np.abs(velocity).max(-1))
-    for name, arm_worst in zip(_ARM_NAMES, worst.tolist()):
-        if not arm_worst <= state_limit:
-            raise NumericalDivergence(
-                f"{name} state magnitude {arm_worst:.3e} exceeds limit {state_limit:.3e}"
-            )
+    worst = np.maximum(np.abs(angle), np.abs(velocity))
+    if worst.max() <= state_limit:
+        return
+    per_arm = worst.max(-1).ravel()
+    first = int(np.argmin(per_arm <= state_limit))
+    raise NumericalDivergence(
+        f"{_ARM_NAMES[first % 2]} state magnitude {per_arm[first]:.3e} "
+        f"exceeds limit {state_limit:.3e}"
+    )
 
 
 def _substep(
@@ -337,7 +344,7 @@ def _substep(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate both arms under cmd + external, check divergence, update the observers.
 
-    Returns the new (angle, velocity, dob_estimate, rfob_lowpass), each (2, J).
+    Returns the new (angle, velocity, dob_estimate, rfob_lowpass), each (N, 2, J).
     """
     angle, velocity = _plant_step(plant, angle, velocity, cmd + external, dt)
     _check_divergence(angle, velocity, state_limit)
@@ -423,13 +430,13 @@ def _stacked_control(
     """Stack the two arms' states and apply the control law.
 
     Returns (plant, angle, velocity, dob_estimate, rfob_lowpass, reaction,
-    command), the arrays (2, J) with the leader in row 0.
+    command), the arrays (1, 2, J): a batch of one with the leader in arm 0.
     """
     plant = _Plant.of(joints)
-    angle = np.stack((leader.angle, follower.angle))
-    velocity = np.stack((leader.velocity, follower.velocity))
-    dob = np.stack((leader_obs.dob_estimate, follower_obs.dob_estimate))
-    rfob = np.stack((leader_obs.rfob_lowpass, follower_obs.rfob_lowpass))
+    angle = np.stack((leader.angle, follower.angle))[None]
+    velocity = np.stack((leader.velocity, follower.velocity))[None]
+    dob = np.stack((leader_obs.dob_estimate, follower_obs.dob_estimate))[None]
+    rfob = np.stack((leader_obs.rfob_lowpass, follower_obs.rfob_lowpass))[None]
     reaction = _reaction(plant, rfob, angle, velocity)
     cmd = _commands(plant, gains, angle, velocity, dob, reaction)
     return plant, angle, velocity, dob, rfob, reaction, cmd
@@ -455,7 +462,7 @@ def control_commands(
         cmd_f = inertia * (+gap_accel / 2) - kf * (tres_l + tres_f) / 2 + dob_f
     """
     *_, reaction, cmd = _stacked_control(leader, follower, leader_obs, follower_obs, joints, gains)
-    return cmd[0], cmd[1], reaction[0], reaction[1]
+    return cmd[0, 0], cmd[0, 1], reaction[0, 0], reaction[0, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,11 +499,11 @@ def bilateral_step(
     plant, angle, velocity, dob, rfob, reaction, cmd = _stacked_control(
         leader, follower, leader_obs, follower_obs, joints, gains
     )
-    external = np.zeros((2, len(joints)))
+    external = np.zeros((1, 2, len(joints)))
     if operator_torque is not None:
-        external[0] = operator_torque
+        external[0, 0] = operator_torque
     if environment_torque is not None:
-        external[1] = environment_torque
+        external[0, 1] = environment_torque
     new_angle, new_velocity, new_dob, new_rfob = _substep(
         plant,
         _decay(gains, dt),
@@ -504,23 +511,25 @@ def bilateral_step(
         velocity,
         dob,
         rfob,
-        np.stack((leader_obs.prev_velocity, follower_obs.prev_velocity)),
+        np.stack((leader_obs.prev_velocity, follower_obs.prev_velocity))[None],
         cmd,
         external,
         dt,
         state_limit,
     )
-    arms = [ArmState(angle=new_angle[r], velocity=new_velocity[r]) for r in (0, 1)]
-    observers = [ObserverState(new_dob[r], new_rfob[r], new_velocity[r].copy()) for r in (0, 1)]
+    arms = [ArmState(angle=new_angle[0, r], velocity=new_velocity[0, r]) for r in (0, 1)]
+    observers = [
+        ObserverState(new_dob[0, r], new_rfob[0, r], new_velocity[0, r].copy()) for r in (0, 1)
+    ]
     return StepResult(
         leader=arms[0],
         follower=arms[1],
         leader_obs=observers[0],
         follower_obs=observers[1],
-        leader_command=cmd[0],
-        follower_command=cmd[1],
-        leader_reaction=reaction[0],
-        follower_reaction=reaction[1],
+        leader_command=cmd[0, 0],
+        follower_command=cmd[0, 1],
+        leader_reaction=reaction[0, 0],
+        follower_reaction=reaction[0, 1],
     )
 
 
@@ -605,23 +614,48 @@ def run_simulation(
     Camera frames fire every `ratio` samples and carry the follower joint
     angles packed little-endian, one identical payload per configured camera.
     The run is a pure function of (config, trajectory): the seed only scales
-    the schedule amplitude per joint, uniformly in [0.9, 1.1].
+    the schedule amplitude per joint, uniformly in [0.9, 1.1].  This is
+    run_simulations over the one seed config.seed.
     """
+    result = run_simulations(config, trajectory, [config.seed])[0]
+    if episode_id is None:
+        return result
+    return replace(result, episode=replace(result.episode, episode_id=episode_id))
+
+
+def run_simulations(
+    config: SimConfig,
+    trajectory: str | OperatorSchedule,
+    seeds: Sequence[int],
+) -> list[SimResult]:
+    """Simulate one episode per seed, all seeds stepped together; results in seed order.
+
+    config.seed is replaced by each seed in turn, and each seed is checked
+    the way SimConfig checks its own.  The N seeds run as (N, 2, J) arrays,
+    one loop over the samples; every operation is elementwise, so each
+    result is byte-identical to run_simulation on that seed alone (see it
+    for the recording contract).  Raises NumericalDivergence as soon as any
+    seed diverges, with the message of the first seed, in the order given,
+    whose state crossed the limit at that substep; no result is returned.
+    """
+    configs = [replace(config, seed=seed) for seed in seeds]
+    if not configs:
+        return []
     sched = (
         trajectory
         if isinstance(trajectory, OperatorSchedule)
         else scripted_trajectories(trajectory, config.joint_count, config.duration_s)
     )
-    if episode_id is None:
-        episode_id = f"{sched.name}-{config.seed:05d}"
 
+    n = len(configs)
     jc = config.joint_count
     t_len = config.sample_count
     ratio = config.ratio
     dt = config.dt_effective
     substeps = config.substeps
-    rng = np.random.default_rng(config.seed)
-    amplitude = rng.uniform(0.9, 1.1, size=jc)
+    amplitude = np.array(
+        [np.random.default_rng(c.seed).uniform(0.9, 1.1, size=jc) for c in configs]
+    )
 
     plant = _Plant.of(config.joints)
     gains = config.gains
@@ -632,21 +666,20 @@ def run_simulation(
         for d in config.disturbances
     ]
 
-    # arm-stacked state: row 0 is the leader, row 1 the follower
-    angle = np.zeros((2, jc))
-    velocity = np.zeros((2, jc))
-    dob = np.zeros((2, jc))
-    rfob = np.zeros((2, jc))
-    streams = np.empty((2, t_len, jc, 3))
-    commands = np.empty((2, t_len, jc))
+    angle = np.zeros((n, 2, jc))
+    velocity = np.zeros((n, 2, jc))
+    dob = np.zeros((n, 2, jc))
+    rfob = np.zeros((n, 2, jc))
+    streams = np.empty((n, 2, t_len, jc, 3))
+    commands = np.empty((n, 2, t_len, jc))
 
     for k in range(t_len):
         reaction = _reaction(plant, rfob, angle, velocity)
         cmd = _commands(plant, gains, angle, velocity, dob, reaction)
-        streams[:, k, :, 0] = angle
-        streams[:, k, :, 1] = velocity
-        streams[:, k, :, 2] = reaction
-        commands[:, k] = cmd
+        streams[:, :, k, :, 0] = angle
+        streams[:, :, k, :, 1] = velocity
+        streams[:, :, k, :, 2] = reaction
+        commands[:, :, k] = cmd
         if k + 1 == t_len:
             break
         for i in range(substeps):
@@ -656,45 +689,48 @@ def run_simulation(
                 cmd = _commands(plant, gains, angle, velocity, dob, reaction)
             operator = amplitude * sched.value(t)
             if reference:
-                operator = OPERATOR_KP * (operator - angle[0]) - OPERATOR_KD * velocity[0]
-            external = np.zeros((2, jc))
-            for row, joint, start_s, end_s, torque in pushes:
+                operator = OPERATOR_KP * (operator - angle[:, 0]) - OPERATOR_KD * velocity[:, 0]
+            external = np.zeros((n, 2, jc))
+            for arm, joint, start_s, end_s, torque in pushes:
                 if start_s <= t < end_s:
-                    external[row, joint] += torque
+                    external[:, arm, joint] += torque
             # added even where the disturbance is zero, as -0.0 + 0.0 is +0.0
-            external[0] = operator + external[0]
+            external[:, 0] = operator + external[:, 0]
             # the observers' previous velocity is always the one this step starts from
             angle, velocity, dob, rfob = _substep(
                 plant, decay, angle, velocity, dob, rfob, velocity, cmd, external, dt, STATE_LIMIT
             )
 
     angles = streams[..., 0]
-    max_gap = float(np.abs(angles[0] - angles[1]).max())
+    max_gaps = np.abs(angles[:, 0] - angles[:, 1]).max(axis=(1, 2))
     # each frame carries the follower angles of its anchor sample, little-endian
-    payloads = angles[1, ::ratio].astype("<f8")
-    frames = tuple(FrameRecord(seq=n, payload=row.tobytes()) for n, row in enumerate(payloads))
-
-    frame_streams = tuple(
-        FrameStream(camera_id=cam, rate_hz=config.frame_rate_hz, records=frames)
-        for cam in config.cameras
-    )
-    episode = Episode(
-        episode_id=episode_id,
-        leader=RobotStream(rate_hz=config.robot_rate_hz, data=streams[0]),
-        follower=RobotStream(rate_hz=config.robot_rate_hz, data=streams[1]),
-        frame_streams=frame_streams,
-        meta={
-            "task": sched.name,
-            "seed": str(config.seed),
-            "source": "bilateral-sim",
-        },
-    )
-    return SimResult(
-        episode=episode,
-        leader_commands=commands[0],
-        follower_commands=commands[1],
-        max_position_gap=max_gap,
-    )
+    payloads = angles[:, 1, ::ratio].astype("<f8")
+    results = []
+    for c, seed_streams, seed_commands, max_gap, seed_payloads in zip(
+        configs, streams, commands, max_gaps, payloads
+    ):
+        frames = tuple(
+            FrameRecord(seq=n, payload=row.tobytes()) for n, row in enumerate(seed_payloads)
+        )
+        episode = Episode(
+            episode_id=f"{sched.name}-{c.seed:05d}",
+            leader=RobotStream(rate_hz=config.robot_rate_hz, data=seed_streams[0]),
+            follower=RobotStream(rate_hz=config.robot_rate_hz, data=seed_streams[1]),
+            frame_streams=tuple(
+                FrameStream(camera_id=cam, rate_hz=config.frame_rate_hz, records=frames)
+                for cam in config.cameras
+            ),
+            meta={"task": sched.name, "seed": str(c.seed), "source": "bilateral-sim"},
+        )
+        results.append(
+            SimResult(
+                episode=episode,
+                leader_commands=seed_commands[0],
+                follower_commands=seed_commands[1],
+                max_position_gap=float(max_gap),
+            )
+        )
+    return results
 
 
 def simulate_episode(
@@ -756,6 +792,9 @@ def sim_config_from_dict(raw: dict) -> SimConfig:
             for d in raw.get("disturbances", [])
         )
         dt = raw.get("dt")
+        cameras = raw.get("cameras", ["overhead", "wrist"])
+        if not isinstance(cameras, list):
+            raise TypeError(f"cameras must be a list, got {type(cameras).__name__}")
         return SimConfig(
             joints=joints,
             gains=gains,
@@ -765,9 +804,9 @@ def sim_config_from_dict(raw: dict) -> SimConfig:
             seed=int(raw.get("seed", 0)),
             dt=None if dt is None else float(dt),
             disturbances=disturbances,
-            cameras=tuple(raw.get("cameras", ("overhead", "wrist"))),
+            cameras=tuple(cameras),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad simulation config: {exc!r}") from exc
 
 

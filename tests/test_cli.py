@@ -1,16 +1,20 @@
+import dataclasses
 import importlib.metadata
 import json
+import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from multirate import cli
+from multirate import cli, sim
 from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
 from multirate.augment import augment
 from multirate.model import Method
-from multirate.sim import default_sim_config, sim_config_to_dict
+from multirate.errors import NumericalDivergence
+from multirate.sim import default_sim_config, load_sim_config, run_simulation, sim_config_to_dict
 
 from conftest import make_episode
 
@@ -76,6 +80,72 @@ def test_simulate_divergence_exits_one_and_writes_nothing(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "NumericalDivergence: leader state magnitude 2.162e+06 exceeds limit 1.000e+06" in err
+    assert not out.exists() or list(out.rglob("*")) == []
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _simulate_sweep(config, out, count, base_seed):
+    return main(["simulate", "--config", config, "--trajectory", "pick_sweep", "--out", str(out),
+                 "--count", str(count), "--base-seed", str(base_seed)])
+
+
+def test_simulate_chunks_match_one_batch(tmp_path, small_config, monkeypatch, capsys):
+    out = tmp_path / "eps"
+    assert _simulate_sweep(small_config, out, 5, 2) == 0
+    whole, whole_out = _tree(out), capsys.readouterr().out
+    out.rename(tmp_path / "whole")
+    monkeypatch.setattr(cli, "_SIM_CHUNK", 2)
+    assert _simulate_sweep(small_config, out, 5, 2) == 0
+    assert capsys.readouterr().out == whole_out
+    assert _tree(out) == whole
+    assert sorted(p.name for p in out.iterdir()) == [f"pick_sweep-0000{s}" for s in range(2, 7)]
+
+
+def _peak_state(config_path, seed):
+    """Largest |angle| or |velocity| a seed reaches, which is what the divergence check sees."""
+    config = dataclasses.replace(load_sim_config(config_path), seed=seed)
+    ep = run_simulation(config, "pick_sweep").episode
+    return max(float(np.abs(arm.data[..., :2]).max()) for arm in (ep.leader, ep.follower))
+
+
+def test_simulate_batch_divergence_writes_seeds_before_it(
+    tmp_path, small_config, monkeypatch, capsys
+):
+    base = 3
+    peaks = [_peak_state(small_config, base + i) for i in range(3)]
+    assert peaks[0] < peaks[1]
+    monkeypatch.setattr(sim, "STATE_LIMIT", (peaks[0] + peaks[1]) / 2)
+    with pytest.raises(NumericalDivergence) as alone:
+        run_simulation(dataclasses.replace(load_sim_config(small_config), seed=base + 1),
+                       "pick_sweep")
+    out = tmp_path / "eps"
+    assert _simulate_sweep(small_config, out, 3, base) == 1
+    batched = capsys.readouterr()
+    assert [p.name for p in out.iterdir()] == [f"pick_sweep-{base:05d}"]
+    assert f"error: NumericalDivergence: {alone.value}\n" in batched.err
+    # one seed per chunk is the per-seed path
+    shutil.rmtree(out)
+    monkeypatch.setattr(cli, "_SIM_CHUNK", 1)
+    assert _simulate_sweep(small_config, out, 3, base) == 1
+    assert capsys.readouterr() == batched
+    assert [p.name for p in out.iterdir()] == [f"pick_sweep-{base:05d}"]
+
+
+def test_simulate_batch_where_every_seed_diverges_writes_nothing(
+    tmp_path, small_config, monkeypatch, capsys
+):
+    base = 3
+    monkeypatch.setattr(sim, "STATE_LIMIT", min(_peak_state(small_config, base + i)
+                                                 for i in range(3)) / 2)
+    with pytest.raises(NumericalDivergence) as alone:
+        run_simulation(dataclasses.replace(load_sim_config(small_config), seed=base),
+                       "pick_sweep")
+    out = tmp_path / "eps"
+    assert _simulate_sweep(small_config, out, 3, base) == 1
+    assert f"error: NumericalDivergence: {alone.value}\n" in capsys.readouterr().err
     assert not out.exists() or list(out.rglob("*")) == []
 
 
@@ -278,6 +348,63 @@ def test_each_manifest_is_read_at_most_once(tmp_path, monkeypatch, capsys, comma
     monkeypatch.setattr(Path, "read_text", counting)
     assert main(command.format(tmp=tmp_path).split()) == 0
     assert reads and sorted(reads) == sorted(set(reads))
+
+
+def test_validate_reads_each_source_manifest_once(tmp_path, monkeypatch, capsys):
+    """--sources naming a sibling of the dataset finds each episode by two spellings."""
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    reads = []
+    original = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if self.name == "manifest.json":
+            reads.append(self.parent.resolve())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "ds", "--sources", "episodes"]) == 0
+    assert "re-derived 20 sub-episodes from 2 sources" in capsys.readouterr().out
+    assert sorted(reads) == sorted(set(reads))
+    assert {(root / "ep-0").resolve(), (root / "ep-1").resolve()} <= set(reads)
+
+
+def _set_manifest_field(directory, field, key, value):
+    raw = json.loads((directory / "manifest.json").read_text())
+    if key is None:
+        raw[field] = value
+    else:
+        raw[field][key] = value
+    (directory / "manifest.json").write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("field,key,value", [
+    ("meta", None, ["task", "hold"]),
+    ("files", "leader.f64", "deadbeef"),
+])
+def test_wrong_shape_manifest_is_a_parse_failure(tmp_path, capsys, field, key, value):
+    root, eps = _write_episode_tree(tmp_path, n=1)
+    ep_dir = root / "ep-0"
+    _set_manifest_field(ep_dir, field, key, value)
+    assert main(["stats", str(ep_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ParseFailure: " in err and "Traceback" not in err
+    assert main(["validate", str(ep_dir)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_simulate_config_of_wrong_shape_is_a_parse_failure(tmp_path, capsys):
+    raw = sim_config_to_dict(default_sim_config())
+    raw["gains"] = []
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    rc = main(["simulate", "--config", str(cfg), "--trajectory", "hold",
+               "--out", str(tmp_path / "eps")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: ParseFailure: bad simulation config" in err and "Traceback" not in err
 
 
 def test_validate_missing_manifest(tmp_path, capsys):

@@ -358,3 +358,24 @@ def test_episode_camera_without_declared_frames_is_rejected(tmp_path, episode):
 
     with pytest.raises(ParseFailure):
         read_episode(_rewrite(manifest, edit))
+
+
+def test_episode_meta_that_is_not_an_object_is_rejected(tmp_path, episode):
+    manifest = write_episode(episode, tmp_path / "ep")
+
+    def edit(raw):
+        raw["meta"] = ["task", "hold"]
+
+    with pytest.raises(ParseFailure):
+        read_episode(_rewrite(manifest, edit))
+
+
+def test_files_entry_that_is_not_an_object_is_rejected(tmp_path, episode):
+    manifest = write_episode(episode, tmp_path / "ep")
+
+    def edit(raw):
+        raw["files"]["leader.f64"] = "deadbeef"
+
+    _rewrite(manifest, edit)
+    with pytest.raises(ParseFailure, match="leader.f64"):
+        verify_checksums(manifest.parent, load_manifest(manifest.parent))

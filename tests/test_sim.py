@@ -26,6 +26,7 @@ from multirate.sim import (
     plant_step,
     rfob_update,
     run_simulation,
+    run_simulations,
     scripted_trajectories,
     sim_config_from_dict,
     sim_config_to_dict,
@@ -356,6 +357,14 @@ def test_bundled_config_matches_defaults():
     assert load_sim_config(bundled) == default_sim_config()
 
 
+@pytest.mark.parametrize("field,value", [("gains", []), ("gains", "stiff"), ("cameras", "wrist")])
+def test_sim_config_from_dict_rejects_wrong_shapes(field, value):
+    raw = sim_config_to_dict(default_sim_config())
+    raw[field] = value
+    with pytest.raises(ParseFailure):
+        sim_config_from_dict(raw)
+
+
 def test_load_sim_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -534,3 +543,41 @@ def test_run_simulation_raises_on_divergence():
     with pytest.raises(NumericalDivergence) as exc:
         run_simulation(config, "step")
     assert str(exc.value) == "leader state magnitude 2.162e+06 exceeds limit 1.000e+06"
+
+
+BATCH_SEEDS = [3, 0, 7]  # unsorted, so the result order is pinned too
+
+
+@pytest.mark.parametrize("trajectory,dt,disturbed,gravity", PIN_CASES)
+def test_run_simulations_match_separate_runs(trajectory, dt, disturbed, gravity):
+    config = _pin_config(dt, disturbed, gravity)
+    batch = run_simulations(config, trajectory, BATCH_SEEDS)
+    assert [r.episode.episode_id for r in batch] == [
+        f"{trajectory}-{seed:05d}" for seed in BATCH_SEEDS
+    ]
+    for seed, res in zip(BATCH_SEEDS, batch):
+        alone = run_simulation(dataclasses.replace(config, seed=seed), trajectory)
+        assert _result_digest(res) == _result_digest(alone)
+        assert res.episode.meta == alone.episode.meta
+    # the pinned config's own seed is 7, the last of the batch
+    assert _result_digest(batch[-1]) == PIN_DIGESTS[trajectory, dt, disturbed, gravity]
+
+
+def test_run_simulations_checks_each_seed():
+    config = dataclasses.replace(default_sim_config(), duration_s=0.01)
+    with pytest.raises(ValidationFailure, match="seed must be >= 0, got -1"):
+        run_simulations(config, "hold", [0, -1])
+    assert run_simulations(config, "hold", []) == []
+
+
+def test_run_simulation_takes_an_episode_id():
+    config = dataclasses.replace(default_sim_config(), duration_s=0.01, seed=4)
+    res = run_simulation(config, "pick_sweep", episode_id="demo")
+    assert res.episode.episode_id == "demo"
+    assert _result_digest(res) == _result_digest(run_simulation(config, "pick_sweep"))
+
+
+def test_run_simulations_raises_when_any_seed_diverges():
+    config = dataclasses.replace(default_sim_config(), gains=ControllerGains(kp=1e7))
+    with pytest.raises(NumericalDivergence, match="exceeds limit 1.000e[+]06"):
+        run_simulations(config, "step", [0, 1, 2])
