@@ -51,9 +51,7 @@ def source_indices(
     return raw, np.clip(raw, 0, sample_count - 1)
 
 
-def _sub_episodes(
-    episode: Episode, offsets: Sequence[int], method: Method
-) -> list[AlignedEpisode]:
+def _sub_episodes(episode: Episode, offsets: Sequence[int]) -> list[AlignedEpisode]:
     _, clipped = source_indices(
         offsets, episode.ratio, episode.frame_count, episode.sample_count
     )
@@ -66,20 +64,17 @@ def _sub_episodes(
         rows["source_index"] = idx
         rows["observation"] = follower[idx]
         rows["action"] = leader[idx]
-        rows.setflags(write=False)  # AlignedEpisode keeps a read-only array without a copy
         subs.append(
             AlignedEpisode(
                 rows=rows,
                 cameras=episode.camera_ids,
-                provenance=Provenance(
-                    source_episode_id=episode.episode_id, method=method, offset=offset
-                ),
+                provenance=Provenance(source_episode_id=episode.episode_id, offset=offset),
             )
         )
     return subs
 
 
-def slice_episode(episode: Episode, offset: int, method: Method) -> AlignedEpisode:
+def slice_episode(episode: Episode, offset: int) -> AlignedEpisode:
     """Extract one aligned sub-episode at a fixed per-frame offset.
 
     Frame k pairs with high-rate sample clip(k * R + offset, 0, T - 1); the
@@ -87,7 +82,7 @@ def slice_episode(episode: Episode, offset: int, method: Method) -> AlignedEpiso
     both flattened joint-major to length 3 * joints.  The result always has
     exactly frame_count steps regardless of clamping.
     """
-    return _sub_episodes(episode, (offset,), method)[0]
+    return _sub_episodes(episode, (offset,))[0]
 
 
 def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
@@ -108,7 +103,7 @@ def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
     if len(set(ids)) != len(ids):
         raise ValidationFailure(f"duplicate episode ids in batch: {ids}")
     offsets = make_offsets(method, ratio)
-    subs = [sub for ep in episodes for sub in _sub_episodes(ep, offsets, method)]
+    subs = [sub for ep in episodes for sub in _sub_episodes(ep, offsets)]
     return AugmentedDataset(
         episodes=tuple(subs),
         manifest=DatasetManifest(
@@ -126,9 +121,6 @@ class CoverageReport:
     outside the recording and was clamped to an end.
     """
 
-    source_episode_id: str
-    method: Method
-    ratio: int
     counts: np.ndarray
     clamped_steps: int
 
@@ -190,9 +182,6 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
     stored = stored.astype(np.int64)
     raw, _ = source_indices(got, ratio, episode.frame_count, t_len)
     return CoverageReport(
-        source_episode_id=episode.episode_id,
-        method=dataset.manifest.method,
-        ratio=ratio,
         counts=np.bincount(stored.ravel(), minlength=t_len),
         clamped_steps=int(np.count_nonzero(stored != raw)),
     )

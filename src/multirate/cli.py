@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from .augment import augment, evenness_report, slice_episode, source_indices
-from .errors import MultirateError, NumericalDivergence
+from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
     load_manifest,
     read_dataset,
@@ -31,7 +33,6 @@ from .model import (
     AugmentedDataset,
     Episode,
     Method,
-    aligned_content_equal,
     make_offsets,
 )
 from .sim import (
@@ -46,9 +47,12 @@ from .sim import (
 
 def _write_report(path: str | None, report: dict) -> None:
     if path:
-        Path(path).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(path).write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise IoFailure(f"cannot write report {path}: {exc}") from exc
 
 
 # Seeds simulated together; bounds the (N, 2, T, J, 3) stream buffer of one batch.
@@ -172,11 +176,15 @@ def _find_source_episodes(
 
 
 class _Checks:
-    def __init__(self) -> None:
+    def __init__(self, artifact: Path) -> None:
         self.rows: list[dict[str, str]] = []
         self.failed = 0
+        self._artifact = artifact
 
     def add(self, name: str, status: str, detail: str = "") -> None:
+        # rows name files by the artifact's own name, never by where it sits
+        where = str(self._artifact)
+        detail = detail.replace(where, self._artifact.name or where)
         self.rows.append({"name": name, "status": status, "detail": detail})
         if status == "fail":
             self.failed += 1
@@ -186,36 +194,34 @@ class _Checks:
             line += f": {detail}"
         print(line)
 
-    def run(self, name: str, fn) -> bool:
+    def run(self, name: str, fn: Callable[[], Any], detail: Callable[[Any], str] = str) -> Any:
+        """One row: fn()'s value, or None when it raised and the row failed."""
         try:
-            detail = fn()
+            value = fn()
         except MultirateError as exc:
             self.add(name, "fail", f"{type(exc).__name__}: {exc}")
-            return False
-        self.add(name, "ok", detail or "")
-        return True
+            return None
+        self.add(name, "ok", detail(value))
+        return value
 
 
 def _validate_dataset(
-    dataset_dir: Path, manifest: dict, args: argparse.Namespace, checks: _Checks
+    dataset_dir: Path,
+    manifest: dict,
+    payloads: dict[str, bytes],
+    args: argparse.Namespace,
+    checks: _Checks,
 ) -> None:
-    checks.add("manifest-parse", "ok", f"kind=dataset method={manifest.get('method')}")
-    payloads = _verified_payloads(dataset_dir, manifest, checks)
-    if payloads is None:
-        return
-    holder: dict[str, AugmentedDataset] = {}
-
-    def _read() -> str:
-        holder["ds"] = read_dataset(dataset_dir, manifest=manifest, payloads=payloads)
-        ds = holder["ds"]
-        return (
+    ds = checks.run(
+        "read",
+        lambda: read_dataset(dataset_dir, manifest=manifest, payloads=payloads),
+        detail=lambda ds: (
             f"{ds.episode_count} sub-episodes from "
             f"{len(ds.manifest.source_episode_ids)} sources"
-        )
-
-    if not checks.run("read", _read):
+        ),
+    )
+    if ds is None:
         return
-    ds = holder["ds"]
     method, ratio = ds.manifest.method, ds.manifest.ratio
     expected_offsets = make_offsets(method, ratio)
     # each source's sub-episodes in stored order, keyed in manifest order
@@ -256,8 +262,7 @@ def _validate_dataset(
         n = 0
         for eid in located:
             for sub in by_source[eid]:
-                fresh = slice_episode(sources[eid], sub.provenance.offset, method)
-                if not aligned_content_equal(sub, fresh):
+                if sub != slice_episode(sources[eid], sub.provenance.offset):
                     raise MultirateError(
                         f"source {eid} offset {sub.provenance.offset}: stored steps "
                         "differ from re-derived steps"
@@ -285,48 +290,34 @@ def _validate_dataset(
     checks.run("coverage", _coverage)
 
 
-def _verified_payloads(
-    directory: Path, manifest: dict, checks: _Checks
-) -> dict[str, bytes] | None:
-    """The checksums row: every payload's verified bytes, or None when the row failed."""
-    payloads: dict[str, bytes] = {}
-
-    def _verify() -> str:
-        payloads.update(verify_checksums(directory, manifest))
-        return f"{len(manifest.get('files', {}))} files"
-
-    return payloads if checks.run("checksums", _verify) else None
-
-
-def _validate_episode(ep_dir: Path, manifest: dict, checks: _Checks) -> None:
-    checks.add("manifest-parse", "ok", f"kind=episode id={manifest.get('episode_id')}")
-    payloads = _verified_payloads(ep_dir, manifest, checks)
-    if payloads is None:
-        return
-
-    def _read() -> str:
-        ep = read_episode(ep_dir, manifest=manifest, payloads=payloads)
-        return (
-            f"samples={ep.sample_count} frames={ep.frame_count} ratio={ep.ratio} "
-            f"joints={ep.joints}"
-        )
-
-    checks.run("stream-invariants", _read)
+def _manifest_row(manifest: dict) -> str:
+    if manifest["kind"] == "dataset":
+        return f"kind=dataset method={manifest.get('method')}"
+    return f"kind=episode id={manifest.get('episode_id')}"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    target = Path(args.dir)
-    checks = _Checks()
-    try:
-        manifest = load_manifest(target)
-    except MultirateError as exc:
-        checks.add("manifest-parse", "fail", f"{type(exc).__name__}: {exc}")
+    # absolute, so that failures name the artifact the same way wherever it is
+    target = Path(os.path.abspath(args.dir))
+    checks = _Checks(target)
+    manifest = checks.run("manifest-parse", lambda: load_manifest(target), detail=_manifest_row)
+    if manifest is None:
         _write_report(args.report, {"command": "validate", "checks": checks.rows})
         return 1
-    if manifest["kind"] == "dataset":
-        _validate_dataset(target, manifest, args, checks)
-    else:
-        _validate_episode(target, manifest, checks)
+    payloads = checks.run(
+        "checksums", lambda: verify_checksums(target, manifest), detail=lambda p: f"{len(p)} files"
+    )
+    if payloads is not None and manifest["kind"] == "dataset":
+        _validate_dataset(target, manifest, payloads, args, checks)
+    elif payloads is not None:
+        checks.run(
+            "stream-invariants",
+            lambda: read_episode(target, manifest=manifest, payloads=payloads),
+            detail=lambda ep: (
+                f"samples={ep.sample_count} frames={ep.frame_count} ratio={ep.ratio} "
+                f"joints={ep.joints}"
+            ),
+        )
     _write_report(args.report, {"command": "validate", "checks": checks.rows})
     if checks.failed:
         print(f"{checks.failed} check(s) failed")

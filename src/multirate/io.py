@@ -120,7 +120,7 @@ def load_manifest(directory: str | Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseFailure(f"{path} must hold a JSON object")
@@ -391,9 +391,7 @@ def read_dataset(
             )
             cameras = tuple(str(c) for c in entry["cameras"])
             prov = Provenance(
-                source_episode_id=str(entry["source_episode_id"]),
-                method=method,
-                offset=int(entry["offset"]),
+                source_episode_id=str(entry["source_episode_id"]), offset=int(entry["offset"])
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"{in_dir}/manifest.json: bad episode entry: {exc!r}") from exc

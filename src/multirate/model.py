@@ -274,10 +274,9 @@ class Episode:
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where one aligned sub-episode came from."""
+    """Where one aligned sub-episode came from; its method is the dataset's (DatasetManifest)."""
 
     source_episode_id: str
-    method: Method
     offset: int
 
 
@@ -314,9 +313,9 @@ class AlignedEpisode:
         object.__setattr__(self, "cameras", tuple(self.cameras))
         if len(self.cameras) < 1:
             raise ValidationFailure("aligned episode needs at least one camera")
-        # keep without a copy only memory nothing can change: a fresh read-only
-        # array, or a view of bytes (a loaded payload)
-        if rows.flags.writeable or (rows.base is not None and not _views_immutable_bytes(rows)):
+        # keep without a copy only a view of bytes (a loaded payload): the owner of
+        # any other memory can make it writable again
+        if not _views_immutable_bytes(rows):
             rows = rows.copy()
             rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -344,23 +343,12 @@ class AlignedEpisode:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlignedEpisode):
             return NotImplemented
-        return self.provenance == other.provenance and aligned_content_equal(self, other)
-
-
-def aligned_content_equal(a: AlignedEpisode, b: AlignedEpisode) -> bool:
-    """Step-level equality that ignores which method produced the episodes.
-
-    Offsets and source ids must still agree; only `provenance.method` may
-    differ.  Used to compare method outputs that share an offset (every
-    method's offset-0 sub-episode carries identical steps).
-    """
-    return (
-        a.provenance.source_episode_id == b.provenance.source_episode_id
-        and a.provenance.offset == b.provenance.offset
-        and a.cameras == b.cameras
-        and a.rows.dtype == b.rows.dtype
-        and np.array_equal(a.rows, b.rows)
-    )
+        return (
+            self.provenance == other.provenance
+            and self.cameras == other.cameras
+            and self.rows.dtype == other.rows.dtype
+            and np.array_equal(self.rows, other.rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -406,11 +394,6 @@ class AugmentedDataset:
                 f"({per_source} per source x {len(self.manifest.source_episode_ids)} sources)"
             )
         for ep in self.episodes:
-            if ep.provenance.method is not self.manifest.method:
-                raise ValidationFailure(
-                    f"sub-episode method {ep.provenance.method.value} != manifest "
-                    f"method {self.manifest.method.value}"
-                )
             if ep.provenance.source_episode_id not in self.manifest.source_episode_ids:
                 raise ValidationFailure(
                     f"sub-episode source {ep.provenance.source_episode_id!r} not in manifest"

@@ -167,10 +167,6 @@ class SimConfig:
         return round(self.duration_s * self.robot_rate_hz)
 
     @property
-    def frame_count(self) -> int:
-        return (self.sample_count - 1) // self.ratio + 1
-
-    @property
     def substeps(self) -> int:
         if self.dt is None:
             return 1
@@ -312,20 +308,20 @@ def _commands(
     )
 
 
-def _check_divergence(angle: np.ndarray, velocity: np.ndarray, state_limit: float) -> None:
-    """Raise NumericalDivergence if an arm's (N, 2, J) state is non-finite or beyond the limit.
+def _check_divergence(angle: np.ndarray, velocity: np.ndarray) -> None:
+    """Raise NumericalDivergence if an arm's (N, 2, J) state is non-finite or beyond STATE_LIMIT.
 
     The message names the first failing arm in seed order, the leader before
     the follower.  NaN fails the comparison, so it raises too.
     """
     worst = np.maximum(np.abs(angle), np.abs(velocity))
-    if worst.max() <= state_limit:
+    if worst.max() <= STATE_LIMIT:
         return
     per_arm = worst.max(-1).ravel()
-    first = int(np.argmin(per_arm <= state_limit))
+    first = int(np.argmin(per_arm <= STATE_LIMIT))
     raise NumericalDivergence(
         f"{_ARM_NAMES[first % 2]} state magnitude {per_arm[first]:.3e} "
-        f"exceeds limit {state_limit:.3e}"
+        f"exceeds limit {STATE_LIMIT:.3e}"
     )
 
 
@@ -340,14 +336,13 @@ def _substep(
     cmd: np.ndarray,
     external: np.ndarray,
     dt: float,
-    state_limit: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate both arms under cmd + external, check divergence, update the observers.
 
     Returns the new (angle, velocity, dob_estimate, rfob_lowpass), each (N, 2, J).
     """
     angle, velocity = _plant_step(plant, angle, velocity, cmd + external, dt)
-    _check_divergence(angle, velocity, state_limit)
+    _check_divergence(angle, velocity)
     dob_estimate, rfob_lowpass = _observe(
         plant.inertia, decay, dob_estimate, rfob_lowpass, prev_velocity, cmd, velocity, dt
     )
@@ -487,13 +482,12 @@ def bilateral_step(
     dt: float,
     operator_torque: np.ndarray | None = None,
     environment_torque: np.ndarray | None = None,
-    state_limit: float = STATE_LIMIT,
 ) -> StepResult:
     """One closed-loop step: control, integrate both plants, update observers.
 
     operator_torque acts externally on the leader, environment_torque on the
     follower.  Raises NumericalDivergence when any resulting angle or
-    velocity is non-finite or exceeds state_limit in magnitude (the leader
+    velocity is non-finite or exceeds STATE_LIMIT in magnitude (the leader
     is checked first).
     """
     plant, angle, velocity, dob, rfob, reaction, cmd = _stacked_control(
@@ -515,7 +509,6 @@ def bilateral_step(
         cmd,
         external,
         dt,
-        state_limit,
     )
     arms = [ArmState(angle=new_angle[0, r], velocity=new_velocity[0, r]) for r in (0, 1)]
     observers = [
@@ -602,11 +595,7 @@ class SimResult:
     max_position_gap: float  # max |leader - follower| angle over the run
 
 
-def run_simulation(
-    config: SimConfig,
-    trajectory: str | OperatorSchedule,
-    episode_id: str | None = None,
-) -> SimResult:
+def run_simulation(config: SimConfig, trajectory: str | OperatorSchedule) -> SimResult:
     """Simulate one episode and return it with command traces.
 
     Joint streams record (angle, velocity, reaction torque) for both arms at
@@ -617,10 +606,7 @@ def run_simulation(
     the schedule amplitude per joint, uniformly in [0.9, 1.1].  This is
     run_simulations over the one seed config.seed.
     """
-    result = run_simulations(config, trajectory, [config.seed])[0]
-    if episode_id is None:
-        return result
-    return replace(result, episode=replace(result.episode, episode_id=episode_id))
+    return run_simulations(config, trajectory, [config.seed])[0]
 
 
 def run_simulations(
@@ -698,7 +684,7 @@ def run_simulations(
             external[:, 0] = operator + external[:, 0]
             # the observers' previous velocity is always the one this step starts from
             angle, velocity, dob, rfob = _substep(
-                plant, decay, angle, velocity, dob, rfob, velocity, cmd, external, dt, STATE_LIMIT
+                plant, decay, angle, velocity, dob, rfob, velocity, cmd, external, dt
             )
 
     angles = streams[..., 0]
@@ -722,6 +708,9 @@ def run_simulations(
             ),
             meta={"task": sched.name, "seed": str(c.seed), "source": "bilateral-sim"},
         )
+        # this seed's own copy: a view would keep the whole batch's buffer alive
+        seed_commands = seed_commands.copy()
+        seed_commands.setflags(write=False)
         results.append(
             SimResult(
                 episode=episode,
@@ -733,13 +722,9 @@ def run_simulations(
     return results
 
 
-def simulate_episode(
-    config: SimConfig,
-    trajectory: str | OperatorSchedule,
-    episode_id: str | None = None,
-) -> Episode:
+def simulate_episode(config: SimConfig, trajectory: str | OperatorSchedule) -> Episode:
     """Simulate one episode (see run_simulation for the recording contract)."""
-    return run_simulation(config, trajectory, episode_id).episode
+    return run_simulation(config, trajectory).episode
 
 
 def default_sim_config() -> SimConfig:

@@ -16,7 +16,7 @@ from multirate.errors import (
     ProvenanceMismatch,
     ValidationFailure,
 )
-from multirate.model import Method, aligned_content_equal
+from multirate.model import Method
 
 from conftest import episode_strategy, make_episode
 
@@ -104,21 +104,21 @@ def _source_indices(sub):
 
 def test_slice_indices_oracle():
     ep = make_episode(t_len=100, joints=2, ratio=10, frame_count=10)
-    assert _source_indices(slice_episode(ep, 0, Method.DOWNSAMPLE)) == list(range(0, 100, 10))
-    assert _source_indices(slice_episode(ep, -4, Method.DABI)) == [
+    assert _source_indices(slice_episode(ep, 0)) == list(range(0, 100, 10))
+    assert _source_indices(slice_episode(ep, -4)) == [
         0, 6, 16, 26, 36, 46, 56, 66, 76, 86,
     ]
-    assert _source_indices(slice_episode(ep, 5, Method.DABI)) == [
+    assert _source_indices(slice_episode(ep, 5)) == [
         5, 15, 25, 35, 45, 55, 65, 75, 85, 95,
     ]
-    assert _source_indices(slice_episode(ep, 9, Method.FORWARD)) == [
+    assert _source_indices(slice_episode(ep, 9)) == [
         9, 19, 29, 39, 49, 59, 69, 79, 89, 99,
     ]
 
 
 def test_slice_step_payloads():
     ep = make_episode(t_len=100, joints=3, ratio=10, frame_count=10, cameras=("a", "b"))
-    sub = slice_episode(ep, 2, Method.FORWARD)
+    sub = slice_episode(ep, 2)
     assert sub.step_count == ep.frame_count
     assert sub.cameras == ("a", "b")
     for k, idx in enumerate(sub.source_index.tolist()):
@@ -129,7 +129,7 @@ def test_slice_step_payloads():
 
 def test_slice_observation_is_joint_major():
     ep = make_episode(t_len=10, joints=2, ratio=1)
-    sub = slice_episode(ep, 0, Method.DOWNSAMPLE)
+    sub = slice_episode(ep, 0)
     observation = sub.observation[3]
     follower = ep.follower.data[3]
     assert observation[0] == follower[0, 0]  # joint 0 angle
@@ -238,9 +238,9 @@ def test_augment_structure_property(ep, method):
 @settings(max_examples=60, deadline=None)
 @given(episode_strategy())
 def test_anchor_subset_embedding_property(ep):
-    base = slice_episode(ep, 0, Method.DOWNSAMPLE)
+    base = slice_episode(ep, 0)
     for method in (Method.FORWARD, Method.DABI):
         ds = augment([ep], method)
         zero = [s for s in ds.episodes if s.provenance.offset == 0]
         assert len(zero) == 1
-        assert aligned_content_equal(zero[0], base)
+        assert zero[0] == base

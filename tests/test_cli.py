@@ -455,6 +455,38 @@ def test_stats_episode(tmp_path, capsys):
     assert stats["follower"]["joint1"]["velocity"]["max"] == pytest.approx(want)
 
 
+@pytest.mark.parametrize("command", ["simulate", "augment", "validate", "validate-missing", "stats"])
+def test_unwritable_report_is_an_io_failure(tmp_path, small_config, capsys, command):
+    root, eps = _write_episode_tree(tmp_path, n=1)
+    args = {
+        "simulate": ["simulate", "--config", small_config, "--out", str(tmp_path / "s")] + SIM_ARGS,
+        "augment": ["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds")],
+        "validate": ["validate", str(root / "ep-0")],
+        "validate-missing": ["validate", str(tmp_path / "missing")],
+        "stats": ["stats", str(root / "ep-0")],
+    }[command]
+    assert main(args + ["--report", str(tmp_path / "no-such-dir" / "report.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: IoFailure: cannot write report ")
+
+
+def test_validate_report_is_the_same_wherever_the_artifact_sits(tmp_path, monkeypatch, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    here = tmp_path / "here" / "ds"
+    main(["augment", str(root), "--method", "dabi", "--out", str(here)])
+    payload = here / "steps-00001.bin"
+    data = bytearray(payload.read_bytes())
+    data[5] ^= 0x10
+    payload.write_bytes(bytes(data))
+    shutil.copytree(here, tmp_path / "there" / "nested" / "ds")
+    monkeypatch.chdir(tmp_path / "there")
+    assert main(["validate", str(here), "--report", str(tmp_path / "abs.json")]) == 1
+    assert main(["validate", "nested/ds", "--report", str(tmp_path / "rel.json")]) == 1
+    report = (tmp_path / "abs.json").read_text()
+    assert report == (tmp_path / "rel.json").read_text()
+    assert "ChecksumMismatch: ds/steps-00001.bin: crc32 " in report
+    assert str(tmp_path) not in report and "nested" not in report
+
+
 def test_error_exit_is_one(tmp_path, capsys):
     rc = main(["stats", str(tmp_path / "missing")])
     assert rc == 1

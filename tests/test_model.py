@@ -176,7 +176,7 @@ def _rows(joints, steps=2, index_type="<u8", obs_width=None, act_width=None):
     return np.zeros(steps, dtype=dtype)
 
 
-PROV = Provenance(source_episode_id="ep", method=Method.DABI, offset=0)
+PROV = Provenance(source_episode_id="ep", offset=0)
 
 
 def test_aligned_episode_validation():
@@ -224,9 +224,14 @@ def test_aligned_episode_copies_views_of_changeable_memory():
     sub = AlignedEpisode(rows=view, cameras=("cam",), provenance=PROV)
     rows["observation"][1, 0] = np.nan  # written through the base, past the finiteness check
     assert np.isfinite(sub.observation).all()
-    # arrays nothing else can change are kept as they are
-    fresh = _rows(joints=1, steps=3)
-    fresh.setflags(write=False)
-    assert AlignedEpisode(rows=fresh, cameras=("cam",), provenance=PROV).rows is fresh
+    # the owner of a read-only array can make it writable again
+    owned = _rows(joints=1, steps=3)
+    owned.setflags(write=False)
+    sub = AlignedEpisode(rows=owned, cameras=("cam",), provenance=PROV)
+    owned.setflags(write=True)
+    owned["observation"][1, 0] = np.nan
+    assert np.isfinite(sub.observation).all()
+    assert not sub.rows.flags.writeable
+    # a view of bytes, which nothing can change, is kept as it is
     loaded = np.frombuffer(_rows(joints=1, steps=3).tobytes(), dtype=step_dtype(1))
     assert AlignedEpisode(rows=loaded, cameras=("cam",), provenance=PROV).rows is loaded
