@@ -51,27 +51,34 @@ def source_indices(
     return raw, np.clip(raw, 0, sample_count - 1)
 
 
-def _sub_episodes(episode: Episode, offsets: Sequence[int]) -> list[AlignedEpisode]:
+def gather_steps(episode: Episode, offsets: Sequence[int]) -> np.ndarray:
+    """The steps of every offset's sub-episode, in one gather over the source.
+
+    Returns a (len(offsets), frame_count) array of step_dtype(joints): row i
+    holds the steps of the sub-episode at offsets[i], laid out as in
+    slice_episode.
+    """
     _, clipped = source_indices(
         offsets, episode.ratio, episode.frame_count, episode.sample_count
     )
     width = episode.joints * CHANNELS_PER_JOINT
-    follower = episode.follower.data.reshape(-1, width)
-    leader = episode.leader.data.reshape(-1, width)
-    subs = []
-    for offset, idx in zip(offsets, clipped):
-        rows = np.empty(episode.frame_count, dtype=step_dtype(episode.joints))
-        rows["source_index"] = idx
-        rows["observation"] = follower[idx]
-        rows["action"] = leader[idx]
-        subs.append(
-            AlignedEpisode(
-                rows=rows,
-                cameras=episode.camera_ids,
-                provenance=Provenance(source_episode_id=episode.episode_id, offset=offset),
-            )
+    rows = np.empty(clipped.shape, dtype=step_dtype(episode.joints))
+    rows["source_index"] = clipped
+    # np.take fills the fields in place: cheaper than assigning a fancy-indexed copy
+    np.take(episode.follower.data.reshape(-1, width), clipped, axis=0, out=rows["observation"])
+    np.take(episode.leader.data.reshape(-1, width), clipped, axis=0, out=rows["action"])
+    return rows
+
+
+def _sub_episodes(episode: Episode, offsets: Sequence[int]) -> list[AlignedEpisode]:
+    return [
+        AlignedEpisode(
+            rows=rows,
+            cameras=episode.camera_ids,
+            provenance=Provenance(source_episode_id=episode.episode_id, offset=offset),
         )
-    return subs
+        for offset, rows in zip(offsets, gather_steps(episode, offsets))
+    ]
 
 
 def slice_episode(episode: Episode, offset: int) -> AlignedEpisode:

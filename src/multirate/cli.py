@@ -17,9 +17,10 @@ from typing import Any
 
 import numpy as np
 
-from .augment import augment, evenness_report, slice_episode, source_indices
+from .augment import augment, evenness_report, gather_steps, slice_episode, source_indices
 from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
+    _as_directory,
     load_manifest,
     read_dataset,
     read_episode,
@@ -156,8 +157,10 @@ def _find_source_episodes(
     # one directory may be reached by several spellings; each is read once
     seen = {dataset_dir.resolve()}
     for path in candidates:
+        if not (path / "manifest.json").is_file():
+            continue
         resolved = path.resolve()
-        if resolved in seen or not (path / "manifest.json").is_file():
+        if resolved in seen:
             continue
         seen.add(resolved)
         try:
@@ -261,13 +264,22 @@ def _validate_dataset(
     def _rederive() -> str:
         n = 0
         for eid in located:
-            for sub in by_source[eid]:
-                if sub != slice_episode(sources[eid], sub.provenance.offset):
-                    raise MultirateError(
-                        f"source {eid} offset {sub.provenance.offset}: stored steps "
-                        "differ from re-derived steps"
-                    )
-                n += 1
+            ep, subs = sources[eid], by_source[eid]
+            want = gather_steps(ep, [sub.provenance.offset for sub in subs])
+            # what AlignedEpisode.__eq__ compares, for all of a source's sub-episodes at once
+            fits = all(
+                sub.cameras == ep.camera_ids
+                and sub.rows.dtype == want.dtype
+                and sub.step_count == ep.frame_count
+                for sub in subs
+            )
+            if subs and not (fits and np.array_equal(np.stack([s.rows for s in subs]), want)):
+                bad = next(s for s in subs if s != slice_episode(ep, s.provenance.offset))
+                raise MultirateError(
+                    f"source {eid} offset {bad.provenance.offset}: stored steps "
+                    "differ from re-derived steps"
+                )
+            n += len(subs)
         note = f"re-derived {n} sub-episodes from {len(located)} sources"
         if missing:
             note += f" ({missing} sources not located)"
@@ -297,8 +309,9 @@ def _manifest_row(manifest: dict) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # absolute, so that failures name the artifact the same way wherever it is
-    target = Path(os.path.abspath(args.dir))
+    # absolute, so that failures name the artifact the same way wherever it is;
+    # a manifest path stands for its directory, as in the readers
+    target = _as_directory(os.path.abspath(args.dir))
     checks = _Checks(target)
     manifest = checks.run("manifest-parse", lambda: load_manifest(target), detail=_manifest_row)
     if manifest is None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import struct
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,9 +30,9 @@ from .model import (
     AlignedEpisode,
     AugmentedDataset,
     CHANNELS_PER_JOINT,
+    FRAME_HEADER,
     DatasetManifest,
     Episode,
-    FrameRecord,
     FrameStream,
     Method,
     Provenance,
@@ -46,7 +45,6 @@ FORMAT_VERSION = 1
 
 _LEADER_FILE = "leader.f64"
 _FOLLOWER_FILE = "follower.f64"
-_FRAME_REC_HEADER = struct.Struct("<QQ")  # seq, payload length
 
 
 def _json_bytes(obj: object) -> bytes:
@@ -211,14 +209,6 @@ def _robot_bytes(stream: RobotStream) -> bytes:
     return np.ascontiguousarray(flat, dtype="<f8").tobytes()
 
 
-def _frames_bytes(fs: FrameStream) -> bytes:
-    parts = []
-    for rec in fs.records:
-        parts.append(_FRAME_REC_HEADER.pack(rec.seq, len(rec.payload)))
-        parts.append(rec.payload)
-    return b"".join(parts)
-
-
 def write_episode(episode: Episode, out_dir: str | Path, overwrite: bool = False) -> Path:
     """Persist one episode; returns the path of the manifest written."""
     payloads = {
@@ -226,7 +216,7 @@ def write_episode(episode: Episode, out_dir: str | Path, overwrite: bool = False
         _FOLLOWER_FILE: _robot_bytes(episode.follower),
     }
     for fs in episode.frame_streams:
-        payloads[f"frames_{fs.camera_id}.bin"] = _frames_bytes(fs)
+        payloads[f"frames_{fs.camera_id}.bin"] = fs.packed
     fields = {
         "episode_id": episode.episode_id,
         "robot_rate_hz": episode.leader.rate_hz,
@@ -262,22 +252,23 @@ def _parse_frames(
     payloads: dict[str, bytes], directory: Path, camera_id: str, rate_hz: int, frame_count: int
 ) -> FrameStream:
     data, path = _payload(payloads, directory, f"frames_{camera_id}.bin")
-    records = []
-    pos = 0
-    while pos < len(data):
-        if pos + _FRAME_REC_HEADER.size > len(data):
+    # a record's place depends on every length before it, so the headers are walked
+    starts = []
+    pos, end = 0, len(data)
+    while pos < end:
+        if pos + FRAME_HEADER.size > end:
             raise ParseFailure(f"{path}: truncated record header at byte {pos}")
-        seq, length = _FRAME_REC_HEADER.unpack_from(data, pos)
-        pos += _FRAME_REC_HEADER.size
-        if pos + length > len(data):
+        seq, length = FRAME_HEADER.unpack_from(data, pos)
+        pos += FRAME_HEADER.size
+        if pos + length > end:
             raise ParseFailure(f"{path}: record {seq} payload runs past end of file")
-        records.append(FrameRecord(seq=seq, payload=data[pos : pos + length]))
+        starts.append(pos)
         pos += length
-    if len(records) != frame_count:
+    if len(starts) != frame_count:
         raise ValidationFailure(
-            f"{path}: holds {len(records)} frames, manifest declares {frame_count}"
+            f"{path}: holds {len(starts)} frames, manifest declares {frame_count}"
         )
-    return FrameStream(camera_id=camera_id, rate_hz=rate_hz, records=tuple(records))
+    return FrameStream.from_packed(camera_id, rate_hz, data, starts)
 
 
 def read_episode(

@@ -9,6 +9,9 @@ chooses which sample via per-frame index offsets.
 from __future__ import annotations
 
 import enum
+import functools
+import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,6 +20,7 @@ import numpy as np
 from .errors import NonIntegerRatio, ValidationFailure
 
 CHANNELS_PER_JOINT = 3  # angle, velocity, torque
+FRAME_HEADER = struct.Struct("<QQ")  # seq, payload length: the head of one packed frame record
 
 
 class Method(enum.Enum):
@@ -77,6 +81,7 @@ def is_plain_name(name: str) -> bool:
     return name not in ("", ".", "..") and "/" not in name and "\\" not in name
 
 
+@functools.lru_cache(maxsize=None)
 def step_dtype(joints: int) -> np.dtype:
     """One aligned step, laid out exactly as a `steps-*.bin` row (docs/format.md)."""
     if joints < 1:
@@ -158,36 +163,99 @@ class FrameRecord:
     def __post_init__(self) -> None:
         if self.seq < 0:
             raise ValidationFailure(f"frame seq must be >= 0, got {self.seq}")
+        if self.seq >= 1 << 64:
+            raise ValidationFailure(f"frame seq must fit in 64 bits, got {self.seq}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FrameStream:
-    """Uniform low-rate frame recording from one camera."""
+    """Uniform low-rate frame recording from one camera, held as its packed frame file.
+
+    `packed` is the `frames_<camera_id>.bin` payload exactly as on disk
+    (docs/format.md): per frame a FRAME_HEADER (seq, payload length), then the
+    payload.  `starts[k]` is the offset of frame k's payload in `packed`.
+    """
 
     camera_id: str
     rate_hz: int
-    records: tuple[FrameRecord, ...]
+    packed: bytes = field(repr=False)
+    starts: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if not is_plain_name(self.camera_id):
+    def __init__(self, camera_id: str, rate_hz: int, records: Iterable[FrameRecord]) -> None:
+        parts, starts, pos = [], [], 0
+        for rec in records:
+            parts += (FRAME_HEADER.pack(rec.seq, len(rec.payload)), rec.payload)
+            pos += FRAME_HEADER.size
+            starts.append(pos)
+            pos += len(rec.payload)
+        self._hold(camera_id, rate_hz, b"".join(parts), starts)
+
+    @classmethod
+    def from_packed(
+        cls, camera_id: str, rate_hz: int, packed: bytes, starts: Iterable[int]
+    ) -> "FrameStream":
+        """The stream over a packed frame file whose payloads begin at `starts`; no copy."""
+        stream = cls.__new__(cls)
+        stream._hold(camera_id, rate_hz, packed, starts)
+        return stream
+
+    def _hold(self, camera_id: str, rate_hz: int, packed: bytes, starts: Iterable[int]) -> None:
+        if not is_plain_name(camera_id):
             raise ValidationFailure(
-                f"camera_id {self.camera_id!r} must be a non-empty name without path parts"
+                f"camera_id {camera_id!r} must be a non-empty name without path parts"
             )
-        if self.rate_hz < 1:
-            raise ValidationFailure(f"frame rate must be >= 1 Hz, got {self.rate_hz}")
-        object.__setattr__(self, "records", tuple(self.records))
-        if len(self.records) < 1:
+        if rate_hz < 1:
+            raise ValidationFailure(f"frame rate must be >= 1 Hz, got {rate_hz}")
+        starts = np.array(starts, dtype=np.int64)
+        if starts.ndim != 1 or len(starts) < 1:
             raise ValidationFailure("frame stream must hold at least one frame")
-        for i, rec in enumerate(self.records):
-            if rec.seq != i:
-                raise ValidationFailure(
-                    f"camera {self.camera_id}: frame seqs must be 0..F-1 in order, "
-                    f"got seq {rec.seq} at position {i}"
-                )
+        if not isinstance(packed, bytes):
+            raise ValidationFailure(f"packed frames must be bytes, got {type(packed).__name__}")
+        # each header sits just before its payload and its length ends where the next begins
+        heads = starts - FRAME_HEADER.size
+        ends = np.append(heads[1:], len(packed))
+        misfit = f"camera {camera_id}: payload starts do not match the packed frame headers"
+        if heads[0] != 0 or (ends < starts).any():
+            raise ValidationFailure(misfit)
+        fields = np.frombuffer(packed, np.uint8)[heads[:, None] + np.arange(FRAME_HEADER.size)]
+        seqs, lengths = fields.view("<u8").T
+        if (lengths != ends - starts).any():
+            raise ValidationFailure(misfit)
+        wrong = np.flatnonzero(seqs != np.arange(len(starts)))
+        if len(wrong):
+            raise ValidationFailure(
+                f"camera {camera_id}: frame seqs must be 0..F-1 in order, "
+                f"got seq {seqs[wrong[0]]} at position {wrong[0]}"
+            )
+        starts.setflags(write=False)
+        object.__setattr__(self, "camera_id", camera_id)
+        object.__setattr__(self, "rate_hz", rate_hz)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "starts", starts)
 
     @property
     def frame_count(self) -> int:
-        return len(self.records)
+        return len(self.starts)
+
+    @property
+    def records(self) -> tuple[FrameRecord, ...]:
+        """One FrameRecord per frame, built from `packed` on each call."""
+        ends = [*(self.starts[1:] - FRAME_HEADER.size).tolist(), len(self.packed)]
+        return tuple(
+            FrameRecord(seq=k, payload=self.packed[start:end])
+            for k, (start, end) in enumerate(zip(self.starts.tolist(), ends))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameStream):
+            return NotImplemented
+        # the packed bytes hold every seq and payload, so they decide equality of the records
+        return (self.camera_id, self.rate_hz, self.packed) == (
+            other.camera_id, other.rate_hz, other.packed
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.camera_id, self.rate_hz, self.packed))
 
 
 @dataclass(frozen=True, eq=False)

@@ -798,10 +798,10 @@ def sim_config_from_dict(raw: dict) -> SimConfig:
 def load_sim_config(path: str | Path) -> SimConfig:
     """Read a SimConfig from a JSON file."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseFailure(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseFailure(f"config {path} must hold a JSON object")

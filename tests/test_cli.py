@@ -3,6 +3,7 @@ import importlib.metadata
 import json
 import shutil
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
 from multirate.augment import augment
 from multirate.model import Method
-from multirate.errors import NumericalDivergence
+from multirate.errors import NumericalDivergence, ParseFailure
 from multirate.sim import default_sim_config, load_sim_config, run_simulation, sim_config_to_dict
 
 from conftest import make_episode
@@ -264,21 +265,22 @@ def test_validate_reports_corruption(tmp_path, capsys):
     assert any(r["status"] == "fail" for r in rows)
 
 
+def _tamper_steps(out, index):
+    """Flip a bit of one sub-episode's first observation; its crc32 is recomputed to match."""
+    name = f"steps-{index:05d}.bin"
+    data = bytearray((out / name).read_bytes())
+    data[8] ^= 0x40
+    (out / name).write_bytes(bytes(data))
+    crc = f"{zlib.crc32(bytes(data)) & 0xFFFFFFFF:08x}"
+    _rewrite_manifest(out, lambda raw: raw["files"][name].update(crc32=crc))
+
+
 def test_validate_reports_tampered_steps(tmp_path, capsys):
     """Corruption that keeps checksums valid is caught by re-derivation."""
     root, eps = _write_episode_tree(tmp_path)
     out = tmp_path / "ds"
     main(["augment", str(root), "--method", "dabi", "--out", str(out)])
-    target = out / "steps-00002.bin"
-    data = bytearray(target.read_bytes())
-    data[8] ^= 0x40  # flip a bit inside the first observation vector
-    target.write_bytes(bytes(data))
-    # rewrite the manifest checksum so the tampering parses cleanly
-    import zlib
-
-    raw = json.loads((out / "manifest.json").read_text())
-    raw["files"]["steps-00002.bin"]["crc32"] = f"{zlib.crc32(bytes(data)) & 0xFFFFFFFF:08x}"
-    (out / "manifest.json").write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+    _tamper_steps(out, 2)
     rc = main(["validate", str(out)])
     assert rc == 1
     assert "re-derivation" in capsys.readouterr().out
@@ -614,3 +616,61 @@ def test_validate_report_of_clean_episode(tmp_path, capsys):
         ]},
         indent=2, sort_keys=True,
     ) + "\n"
+
+
+def test_validate_rederivation_catches_relabelled_cameras(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    _rewrite_manifest(out, lambda raw: raw["episodes"][13].update(cameras=["other"]))
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert rows == [
+        ("manifest-parse", "ok", "kind=dataset method=dabi"),
+        ("checksums", "ok", "20 files"),
+        ("read", "ok", "20 sub-episodes from 2 sources"),
+        ("offset-window", "ok", "window -4..5 per source"),
+        ("ordering", "ok", "source-major, offsets ascending"),
+        ("re-derivation", "fail",
+         "MultirateError: source ep-1 offset -1: stored steps differ from re-derived steps"),
+        ("coverage", "ok", "coverage exact for 2 sources"),
+    ]
+
+
+@pytest.mark.parametrize("tampered, named", [((7, 2), "ep-0 offset -2"), ((16, 7), "ep-0 offset 3")])
+def test_validate_rederivation_names_the_first_bad_sub_episode(tmp_path, capsys, tampered, named):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    for index in tampered:
+        _tamper_steps(out, index)
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert ("re-derivation", "fail",
+            f"MultirateError: source {named}: stored steps differ from re-derived steps") in rows
+    assert [name for name, status, _ in rows if status == "fail"] == ["re-derivation"]
+
+
+def test_validate_accepts_the_manifest_path(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(out), "--report", str(tmp_path / "dir.json")]) == 0
+    by_dir = capsys.readouterr().out
+    assert main(["validate", str(out / "manifest.json"),
+                 "--report", str(tmp_path / "manifest.json")]) == 0
+    assert capsys.readouterr().out == by_dir
+    assert (tmp_path / "manifest.json").read_bytes() == (tmp_path / "dir.json").read_bytes()
+
+
+def test_simulate_config_that_is_not_utf8_is_a_parse_failure(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"joints": [\xff]}')
+    with pytest.raises(ParseFailure):
+        load_sim_config(cfg)
+    rc = main(["simulate", "--config", str(cfg), "--trajectory", "hold",
+               "--out", str(tmp_path / "eps")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseFailure: config ") and "Traceback" not in err

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multirate.augment import augment
 from multirate.errors import (
@@ -22,7 +25,7 @@ from multirate.io import (
     write_dataset,
     write_episode,
 )
-from multirate.model import Method
+from multirate.model import FrameRecord, FrameStream, Method
 
 from conftest import episode_strategy, make_episode
 
@@ -379,3 +382,70 @@ def test_files_entry_that_is_not_an_object_is_rejected(tmp_path, episode):
     _rewrite(manifest, edit)
     with pytest.raises(ParseFailure, match="leader.f64"):
         verify_checksums(manifest.parent, load_manifest(manifest.parent))
+
+
+def _packed(records) -> bytes:
+    """A frame file as docs/format.md lays it out: per record <QQ (seq, length), then the payload."""
+    return b"".join(struct.pack("<QQ", seq, len(payload)) + payload for seq, payload in records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payloads=st.lists(st.binary(max_size=40), min_size=1, max_size=12))
+def test_frame_stream_round_trip_keeps_records_and_bytes(tmp_path_factory, payloads):
+    records = tuple(FrameRecord(seq=k, payload=p) for k, p in enumerate(payloads))
+    base = make_episode(t_len=len(payloads), joints=1, ratio=1)
+    stream = FrameStream("cam", base.frame_streams[0].rate_hz, records)
+    d = write_episode(
+        dataclasses.replace(base, frame_streams=(stream,)), tmp_path_factory.mktemp("ep") / "ep"
+    ).parent
+    assert (d / "frames_cam.bin").read_bytes() == _packed(enumerate(payloads))
+    loaded = read_episode(d).frame_streams[0]
+    assert loaded.records == records
+    assert loaded == stream and loaded.frame_count == len(payloads)
+
+
+_FRAME_DAMAGE = {
+    "truncated header": (
+        _packed([(0, b"a" * 8), (1, b"b" * 8), (2, b"c" * 8)]) + b"\0" * 5,
+        ParseFailure, "{path}: truncated record header at byte 72",
+    ),
+    "payload past end": (
+        _packed([(0, b"a" * 8)]) + struct.pack("<QQ", 1, 100) + b"b" * 8,
+        ParseFailure, "{path}: record 1 payload runs past end of file",
+    ),
+    "frame count": (
+        _packed([(0, b"a" * 8), (1, b"b" * 8)]),
+        ValidationFailure, "{path}: holds 2 frames, manifest declares 3",
+    ),
+    "seq order": (
+        _packed([(0, b"a" * 8), (2, b"b" * 8), (1, b"c" * 8)]),
+        ValidationFailure, "camera cam: frame seqs must be 0..F-1 in order, got seq 2 at position 1",
+    ),
+    # precedence: a truncated header before a wrong count, a wrong count before seq order
+    "truncated before count": (
+        _packed([(0, b"a" * 8)]) + b"\0" * 3,
+        ParseFailure, "{path}: truncated record header at byte 24",
+    ),
+    "count before seq order": (
+        _packed([(1, b"a" * 8), (0, b"b" * 8)]),
+        ValidationFailure, "{path}: holds 2 frames, manifest declares 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRAME_DAMAGE))
+def test_frame_file_damage_messages(tmp_path, case):
+    blob, error, message = _FRAME_DAMAGE[case]
+    d = write_episode(make_episode(t_len=21, joints=1, ratio=10), tmp_path / "ep").parent
+    (d / "frames_cam.bin").write_bytes(blob)
+
+    def restamp(raw):  # checksums agree, so only the frame parser can object
+        raw["files"]["frames_cam.bin"] = {
+            "bytes": len(blob), "crc32": f"{zlib.crc32(blob) & 0xFFFFFFFF:08x}",
+        }
+
+    _rewrite(d / "manifest.json", restamp)
+    with pytest.raises(error) as info:
+        read_episode(d)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(path=d / "frames_cam.bin")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -110,6 +112,33 @@ def test_frame_stream_requires_contiguous_seqs():
     recs = (FrameRecord(seq=0, payload=b"a"), FrameRecord(seq=2, payload=b"b"))
     with pytest.raises(ValidationFailure):
         FrameStream(camera_id="cam", rate_hz=10, records=recs)
+
+
+def test_frame_stream_holds_its_packed_frame_file():
+    recs = (FrameRecord(seq=0, payload=b"ab"), FrameRecord(seq=1, payload=b""))
+    fs = FrameStream("cam", 10, recs)
+    assert fs.packed == struct.pack("<QQ", 0, 2) + b"ab" + struct.pack("<QQ", 1, 0)
+    assert fs.starts.tolist() == [16, 34] and fs.frame_count == 2
+    assert fs.records == recs
+    same = FrameStream.from_packed("cam", 10, fs.packed, [16, 34])
+    assert same == fs and hash(same) == hash(fs) and same.packed is fs.packed
+    assert FrameStream("cam", 10, recs[:1]) != fs != FrameStream("other", 10, recs)
+
+
+@pytest.mark.parametrize("starts", [[0, 34], [16, 20], [16, 40], [16, 18, 34], [16]])
+def test_frame_stream_rejects_starts_that_miss_the_headers(starts):
+    fs = FrameStream("cam", 10, (FrameRecord(seq=0, payload=b"ab"), FrameRecord(seq=1, payload=b"")))
+    with pytest.raises(ValidationFailure, match="payload starts do not match"):
+        FrameStream.from_packed("cam", 10, fs.packed, starts)
+
+
+def test_frame_seq_must_fit_the_header():
+    with pytest.raises(ValidationFailure, match="64 bits"):
+        FrameRecord(seq=1 << 64, payload=b"")
+
+
+def test_step_dtype_is_built_once_per_joint_count():
+    assert step_dtype(4) is step_dtype(4)
 
 
 def test_episode_invariants_hold():
