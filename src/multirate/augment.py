@@ -161,11 +161,7 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
         raise ProvenanceMismatch(
             f"dataset ratio {dataset.manifest.ratio} != episode ratio {ratio}"
         )
-    subs = [
-        ep
-        for ep in dataset.episodes
-        if ep.provenance.source_episode_id == episode.episode_id
-    ]
+    subs = dataset.by_source[episode.episode_id]
     expected = make_offsets(dataset.manifest.method, ratio)
     got = tuple(ep.provenance.offset for ep in subs)
     if tuple(sorted(got)) != expected:

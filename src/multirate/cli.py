@@ -11,13 +11,14 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .augment import augment, evenness_report, gather_steps, slice_episode, source_indices
+from .augment import augment, evenness_report, gather_steps, source_indices
 from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
     _as_directory,
@@ -30,7 +31,6 @@ from .io import (
 )
 from .model import (
     CHANNELS_PER_JOINT,
-    AlignedEpisode,
     AugmentedDataset,
     Episode,
     Method,
@@ -225,17 +225,10 @@ def _validate_dataset(
     )
     if ds is None:
         return
-    method, ratio = ds.manifest.method, ds.manifest.ratio
-    expected_offsets = make_offsets(method, ratio)
-    # each source's sub-episodes in stored order, keyed in manifest order
-    by_source: dict[str, list[AlignedEpisode]] = {
-        src: [] for src in ds.manifest.source_episode_ids
-    }
-    for sub in ds.episodes:
-        by_source[sub.provenance.source_episode_id].append(sub)
+    expected_offsets = make_offsets(ds.manifest.method, ds.manifest.ratio)
 
     def _offsets() -> str:
-        for src, subs in by_source.items():
+        for src, subs in ds.by_source.items():
             got = sorted(sub.provenance.offset for sub in subs)
             if tuple(got) != expected_offsets:
                 raise MultirateError(
@@ -247,39 +240,33 @@ def _validate_dataset(
 
     def _ordering() -> str:
         got = [(sub.provenance.source_episode_id, sub.provenance.offset) for sub in ds.episodes]
-        if got != [(src, off) for src in by_source for off in expected_offsets]:
+        if got != [(src, off) for src in ds.by_source for off in expected_offsets]:
             raise MultirateError("sub-episodes are not source-major, offset-ascending")
         return "source-major, offsets ascending"
 
     checks.run("ordering", _ordering)
 
     sources = _find_source_episodes(dataset_dir, args.sources, ds.manifest.source_episode_ids)
-    located = [eid for eid in by_source if eid in sources]
-    missing = len(by_source) - len(located)
+    located = [eid for eid in ds.by_source if eid in sources]
+    missing = len(ds.by_source) - len(located)
     if not located:
         checks.add("re-derivation", "skip", "no source episodes located")
         checks.add("coverage", "skip", "no source episodes located")
         return
 
     def _rederive() -> str:
-        n = 0
         for eid in located:
-            ep, subs = sources[eid], by_source[eid]
+            ep, subs = sources[eid], ds.by_source[eid]
             want = gather_steps(ep, [sub.provenance.offset for sub in subs])
-            # what AlignedEpisode.__eq__ compares, for all of a source's sub-episodes at once
-            fits = all(
-                sub.cameras == ep.camera_ids
-                and sub.rows.dtype == want.dtype
-                and sub.step_count == ep.frame_count
-                for sub in subs
-            )
-            if subs and not (fits and np.array_equal(np.stack([s.rows for s in subs]), want)):
-                bad = next(s for s in subs if s != slice_episode(ep, s.provenance.offset))
-                raise MultirateError(
-                    f"source {eid} offset {bad.provenance.offset}: stored steps "
-                    "differ from re-derived steps"
-                )
-            n += len(subs)
+            for sub, rows in zip(subs, want):
+                # what AlignedEpisode.__eq__ compares; provenance matches by construction
+                same = sub.cameras == ep.camera_ids and sub.rows.dtype == rows.dtype
+                if not (same and np.array_equal(sub.rows, rows)):
+                    raise MultirateError(
+                        f"source {eid} offset {sub.provenance.offset}: stored steps "
+                        "differ from re-derived steps"
+                    )
+        n = sum(len(ds.by_source[eid]) for eid in located)
         note = f"re-derived {n} sub-episodes from {len(located)} sources"
         if missing:
             note += f" ({missing} sources not located)"
@@ -292,7 +279,7 @@ def _validate_dataset(
             ep = sources[eid]
             rep = evenness_report(ds, ep)
             raw, clipped = source_indices(
-                expected_offsets, ratio, ep.frame_count, ep.sample_count
+                expected_offsets, ds.manifest.ratio, ep.frame_count, ep.sample_count
             )
             want = np.bincount(clipped.ravel(), minlength=ep.sample_count)
             if not np.array_equal(rep.counts, want) or rep.clamped_steps != (raw != clipped).sum():
@@ -343,32 +330,26 @@ _CHANNEL_NAMES = ("angle", "velocity", "torque")
 
 def _channel_summary(data: np.ndarray) -> dict:
     """Per-joint min/max/mean for each channel of a (samples, joints, 3) block."""
-    out: dict[str, dict] = {}
-    for j in range(data.shape[1]):
-        out[f"joint{j}"] = {
-            name: {
-                "min": float(data[:, j, c].min()),
-                "max": float(data[:, j, c].max()),
-                "mean": float(data[:, j, c].mean()),
-            }
-            for c, name in enumerate(_CHANNEL_NAMES)
-        }
-    return out
+    # one contiguous row per channel, joint-major: a row's mean sums as its 1-d column's
+    columns = np.ascontiguousarray(data.reshape(len(data), -1).T)
+    stats = np.stack([columns.min(axis=1), columns.max(axis=1), columns.mean(axis=1)], axis=1)
+    cells = iter(dict(zip(("min", "max", "mean"), row)) for row in stats.tolist())
+    return {
+        f"joint{j}": {name: next(cells) for name in _CHANNEL_NAMES}
+        for j in range(data.shape[1])
+    }
 
 
 def _dataset_stats(ds: AugmentedDataset) -> dict:
-    offsets: dict[str, int] = {}
-    clamped = 0
     joints = ds.episodes[0].joints
-    for sub in ds.episodes:
-        key = str(sub.provenance.offset)
-        offsets[key] = offsets.get(key, 0) + 1
-        # a dataset does not record source lengths, so only `raw` is compared;
-        # a stored index that differs from it was clamped
-        raw, _ = source_indices(
-            (sub.provenance.offset,), ds.manifest.ratio, sub.step_count, 1
-        )
-        clamped += int(np.count_nonzero(sub.source_index.astype(np.int64) != raw[0]))
+    # a dataset does not record source lengths, so only `raw` is compared, padded to
+    # the longest sub-episode; a stored index that differs from it was clamped
+    lengths = np.array([sub.step_count for sub in ds.episodes])
+    raw, _ = source_indices(
+        [sub.provenance.offset for sub in ds.episodes], ds.manifest.ratio, lengths.max(), 1
+    )
+    stored = np.concatenate([sub.source_index for sub in ds.episodes]).astype(np.int64)
+    clamped = int(np.count_nonzero(stored != raw[np.arange(raw.shape[1]) < lengths[:, None]]))
     obs = np.concatenate([sub.observation for sub in ds.episodes])
     obs = obs.reshape(len(obs), joints, CHANNELS_PER_JOINT)
     return {
@@ -381,7 +362,7 @@ def _dataset_stats(ds: AugmentedDataset) -> dict:
         "steps": len(obs),
         "joints": joints,
         "clamped_steps": clamped,
-        "offsets": offsets,
+        "offsets": dict(Counter(str(sub.provenance.offset) for sub in ds.episodes)),
         "observed": _channel_summary(obs),
     }
 

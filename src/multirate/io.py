@@ -75,7 +75,7 @@ def _publish_lock(target: Path) -> Iterator[None]:
 
 
 def _publish_dir(target: Path, files: dict[str, bytes], overwrite: bool) -> Path:
-    """Write `files` into `target` atomically (temp dir + rename)."""
+    """Write `files` into `target` atomically: temp dir, old directory set aside, rename."""
     target = Path(target)
     if target.exists() and not overwrite:
         raise IoFailure(f"{target} already exists (pass overwrite to replace it)")
@@ -85,15 +85,23 @@ def _publish_dir(target: Path, files: dict[str, bytes], overwrite: bool) -> Path
         raise IoFailure(f"cannot create parent of {target}: {exc}") from exc
     with _publish_lock(target):
         tmp = target.parent / (target.name + ".tmp")
+        aside = target.parent / (target.name + ".old.tmp")
         try:
-            if tmp.exists():
-                shutil.rmtree(tmp)
+            for stale in (tmp, aside):
+                if stale.exists():
+                    shutil.rmtree(stale)
             tmp.mkdir()
             for name, data in files.items():
                 (tmp / name).write_bytes(data)
-            if target.exists():
-                shutil.rmtree(target)
-            os.replace(tmp, target)
+            if target.is_dir() and not target.is_symlink():
+                os.replace(target, aside)
+            try:
+                os.replace(tmp, target)
+            except OSError:
+                if aside.exists():
+                    os.replace(aside, target)
+                raise
+            shutil.rmtree(aside, ignore_errors=True)
         except OSError as exc:
             shutil.rmtree(tmp, ignore_errors=True)
             raise IoFailure(f"failed to publish {target}: {exc}") from exc

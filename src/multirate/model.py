@@ -11,8 +11,9 @@ from __future__ import annotations
 import enum
 import functools
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -446,7 +447,10 @@ class AugmentedDataset:
     Cardinality is fixed by the manifest: one sub-episode per source and
     offset of the method's window (make_offsets), so downsample keeps one per
     source, forward and dabi keep `ratio`.  Sub-episodes are ordered
-    source-major, then by ascending offset.
+    source-major, then by ascending offset, and all have one joint count.
+
+    `by_source` maps each manifest source id, in manifest order, to its
+    sub-episodes in stored order (an empty tuple when it has none).
     """
 
     episodes: tuple[AlignedEpisode, ...]
@@ -461,11 +465,22 @@ class AugmentedDataset:
                 f"dataset holds {len(self.episodes)} sub-episodes, expected {expected} "
                 f"({per_source} per source x {len(self.manifest.source_episode_ids)} sources)"
             )
+        groups: dict[str, list[AlignedEpisode]] = {s: [] for s in self.manifest.source_episode_ids}
         for ep in self.episodes:
-            if ep.provenance.source_episode_id not in self.manifest.source_episode_ids:
+            src = ep.provenance.source_episode_id
+            if src not in groups:
+                raise ValidationFailure(f"sub-episode source {src!r} not in manifest")
+            if ep.joints != self.episodes[0].joints:
                 raise ValidationFailure(
-                    f"sub-episode source {ep.provenance.source_episode_id!r} not in manifest"
+                    f"source {src} offset {ep.provenance.offset}: {ep.joints} joints, "
+                    f"but the first sub-episode has {self.episodes[0].joints}"
                 )
+            groups[src].append(ep)
+        object.__setattr__(self, "_by_source", {src: tuple(subs) for src, subs in groups.items()})
+
+    @property
+    def by_source(self) -> Mapping[str, tuple[AlignedEpisode, ...]]:
+        return MappingProxyType(self._by_source)
 
     @property
     def episode_count(self) -> int:

@@ -170,6 +170,13 @@ def test_augment_rejects_mixed_ratio():
         augment([a, b], Method.FORWARD)
 
 
+def test_augment_rejects_mixed_joint_counts():
+    a = make_episode(t_len=100, joints=2, ratio=10, episode_id="a")
+    b = make_episode(t_len=100, joints=3, ratio=10, episode_id="b")
+    with pytest.raises(ValidationFailure, match="3 joints, but the first sub-episode has 2"):
+        augment([a, b], Method.DABI)
+
+
 def test_augment_rejects_duplicate_ids():
     a = make_episode(t_len=100, joints=2, ratio=10, episode_id="same")
     b = make_episode(t_len=100, joints=2, ratio=10, episode_id="same", seed=9)

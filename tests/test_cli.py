@@ -12,7 +12,7 @@ import pytest
 from multirate import cli, sim
 from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
-from multirate.augment import augment
+from multirate.augment import augment, source_indices
 from multirate.model import Method
 from multirate.errors import NumericalDivergence, ParseFailure
 from multirate.sim import default_sim_config, load_sim_config, run_simulation, sim_config_to_dict
@@ -275,6 +275,23 @@ def _tamper_steps(out, index):
     _rewrite_manifest(out, lambda raw: raw["files"][name].update(crc32=crc))
 
 
+def _shorten_steps(out, index):
+    """Drop the last step of one sub-episode; its size, crc32 and step_count are restamped."""
+    name = f"steps-{index:05d}.bin"
+    raw = json.loads((out / "manifest.json").read_text())
+    entry = raw["episodes"][index]
+    data = (out / name).read_bytes()
+    data = data[: len(data) // entry["step_count"] * (entry["step_count"] - 1)]
+    (out / name).write_bytes(data)
+    crc = f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
+
+    def edit(raw):
+        raw["files"][name].update(crc32=crc, bytes=len(data))
+        raw["episodes"][index]["step_count"] -= 1
+
+    _rewrite_manifest(out, edit)
+
+
 def test_validate_reports_tampered_steps(tmp_path, capsys):
     """Corruption that keeps checksums valid is caught by re-derivation."""
     root, eps = _write_episode_tree(tmp_path)
@@ -439,6 +456,80 @@ def test_stats_dataset(tmp_path, capsys):
     assert "joint0 velocity: min=" in stdout
     assert "joint1 torque: min=" in stdout
     assert str(tmp_path) not in report.read_text()
+
+
+def _reference_dataset_stats(ds):
+    """_dataset_stats as a loop: one source_indices call per sub-episode, 1-d columns."""
+    offsets, clamped = {}, 0
+    for sub in ds.episodes:
+        key = str(sub.provenance.offset)
+        offsets[key] = offsets.get(key, 0) + 1
+        raw, _ = source_indices((sub.provenance.offset,), ds.manifest.ratio, sub.step_count, 1)
+        clamped += int(np.count_nonzero(sub.source_index.astype(np.int64) != raw[0]))
+    joints = ds.episodes[0].joints
+    obs = np.concatenate([sub.observation for sub in ds.episodes]).reshape(-1, joints, 3)
+    return {
+        "command": "stats",
+        "kind": "dataset",
+        "method": ds.manifest.method.value,
+        "ratio": ds.manifest.ratio,
+        "sources": len(ds.manifest.source_episode_ids),
+        "sub_episodes": ds.episode_count,
+        "steps": len(obs),
+        "joints": joints,
+        "clamped_steps": clamped,
+        "offsets": offsets,
+        "observed": _reference_channel_summary(obs),
+    }
+
+
+def _reference_channel_summary(data):
+    return {
+        f"joint{j}": {
+            name: {
+                "min": float(data[:, j, c].min()),
+                "max": float(data[:, j, c].max()),
+                "mean": float(data[:, j, c].mean()),
+            }
+            for c, name in enumerate(("angle", "velocity", "torque"))
+        }
+        for j in range(data.shape[1])
+    }
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_dataset_stats_match_the_per_sub_episode_loop(method):
+    # sources of 30 and 21 frames, so sub-episodes differ in length
+    eps = [
+        make_episode(t_len=300, joints=3, ratio=10, frame_count=30, episode_id="long", seed=1),
+        make_episode(t_len=205, joints=3, ratio=10, frame_count=21, episode_id="short", seed=2),
+    ]
+    ds = augment(eps, method)
+    got, want = cli._dataset_stats(ds), _reference_dataset_stats(ds)
+    assert got == want and repr(got) == repr(want)  # repr tells floats apart bit for bit
+    leader = eps[0].leader.data * 1e6 + 1.0  # magnitudes where summation order shows
+    assert repr(cli._channel_summary(leader)) == repr(_reference_channel_summary(leader))
+
+
+def test_stats_of_mixed_joint_counts_is_a_validation_failure(tmp_path, capsys):
+    """A manifest edit that keeps every payload's size and crc32 gives entry 3 one joint."""
+    root = tmp_path / "episodes"
+    for i in range(2):  # 7 steps of 2 joints are 728 bytes, as are 13 steps of 1 joint
+        ep = make_episode(t_len=70, joints=2, ratio=10, frame_count=7, episode_id=f"ep-{i}", seed=i)
+        write_episode(ep, root / ep.episode_id)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    _rewrite_manifest(out, lambda raw: raw["episodes"][3].update(joints=1, step_count=13))
+    capsys.readouterr()
+    assert main(["stats", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: ValidationFailure: source ep-0 offset -1: 1 joints, "
+        "but the first sub-episode has 2\n"
+    )
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert rows[2:] == [("read", "fail", err[len("error: "):].rstrip("\n"))]
 
 
 def test_stats_episode(tmp_path, capsys):
@@ -637,18 +728,51 @@ def test_validate_rederivation_catches_relabelled_cameras(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("tampered, named", [((7, 2), "ep-0 offset -2"), ((16, 7), "ep-0 offset 3")])
+@pytest.mark.parametrize("tampered, named", [
+    (((_tamper_steps, 7), (_tamper_steps, 2)), "ep-0 offset -2"),
+    (((_tamper_steps, 16), (_tamper_steps, 7)), "ep-0 offset 3"),
+    (((_tamper_steps, 16), (_shorten_steps, 4)), "ep-0 offset 0"),
+])
 def test_validate_rederivation_names_the_first_bad_sub_episode(tmp_path, capsys, tampered, named):
     root, eps = _write_episode_tree(tmp_path)
     out = tmp_path / "ds"
     assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
-    for index in tampered:
-        _tamper_steps(out, index)
+    for damage, index in tampered:
+        damage(out, index)
     rc, rows = _validate_rows(out, tmp_path)
     assert rc == 1
     assert ("re-derivation", "fail",
             f"MultirateError: source {named}: stored steps differ from re-derived steps") in rows
-    assert [name for name, status, _ in rows if status == "fail"] == ["re-derivation"]
+    failed = [name for name, status, _ in rows if status == "fail"]
+    if any(damage is _shorten_steps for damage, _ in tampered):
+        # a short sub-episode also no longer covers its source
+        assert ("coverage", "fail", "ProvenanceMismatch: sub-episode at offset 0 has 9 steps, "
+                "episode has 10 frames") in rows
+        assert failed == ["re-derivation", "coverage"]
+    else:
+        assert failed == ["re-derivation"]
+
+
+def test_validate_source_without_sub_episodes(tmp_path, capsys):
+    """ep-1's slots all taken by ep-0: the grouping keeps ep-1 with no sub-episodes."""
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+
+    def relabel(raw):
+        for entry in raw["episodes"][10:]:
+            entry["source_episode_id"] = "ep-0"
+
+    _rewrite_manifest(out, relabel)
+    assert [len(subs) for subs in read_dataset(out).by_source.values()] == [20, 0]
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    doubled = ", ".join(f"{off}, {off}" for off in range(-4, 6))
+    assert rows[3] == (
+        "offset-window", "fail",
+        f"MultirateError: source ep-0: offsets [{doubled}] != expected "
+        "[-4, -3, -2, -1, 0, 1, 2, 3, 4, 5]",
+    )
 
 
 def test_validate_accepts_the_manifest_path(tmp_path, capsys):

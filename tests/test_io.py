@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirate import io
 from multirate.augment import augment
 from multirate.errors import (
     ChecksumMismatch,
@@ -259,6 +260,58 @@ def test_failed_write_leaves_no_target(tmp_path):
     assert tree_bytes(target) == before
     assert not (tmp_path / "out" / "ep.tmp").exists()
     assert not (tmp_path / "out" / "ep.lock").exists()
+
+@pytest.mark.parametrize("failing", ["aside", "publish"])
+def test_failed_overwrite_keeps_the_old_dataset(tmp_path, episode, monkeypatch, failing):
+    """os.replace fails when moving the old copy aside, or when moving the new one in."""
+    target = tmp_path / "ds"
+    old = augment([episode], Method.DABI)
+    write_dataset(old, target)
+    before = tree_bytes(target)
+    real_replace = io.os.replace
+
+    def replace(src, dst):
+        if {"ds": "aside", "ds.tmp": "publish"}.get(Path(src).name) == failing:
+            raise OSError("injected")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(io.os, "replace", replace)
+    with pytest.raises(IoFailure, match="injected"):
+        write_dataset(augment([episode], Method.FORWARD), target, overwrite=True)
+    assert tree_bytes(target) == before
+    assert read_dataset(target) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_overwrite_clears_a_stale_aside_copy(tmp_path, episode):
+    target = tmp_path / "ds"
+    (tmp_path / "ds.old.tmp").mkdir()
+    (tmp_path / "ds.old.tmp" / "manifest.json").write_text("{}")
+    write_dataset(augment([episode], Method.DABI), target)
+    new = augment([episode], Method.FORWARD)
+    write_dataset(new, target, overwrite=True)
+    assert read_dataset(target) == new
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+@pytest.mark.parametrize("kind", ["file", "link"])
+def test_overwrite_leaves_a_target_that_is_not_a_directory(tmp_path, episode, kind):
+    ds = augment([episode], Method.DABI)
+    target = tmp_path / "ds"
+    if kind == "file":
+        target.write_text("x")
+    else:
+        write_dataset(ds, tmp_path / "real")
+        target.symlink_to("real")
+    for _ in range(2):  # nothing is left behind that would block the next write
+        with pytest.raises(IoFailure):
+            write_dataset(ds, target, overwrite=True)
+    if kind == "file":
+        assert target.read_text() == "x"
+    else:
+        assert target.is_symlink() and read_dataset(target) == ds
+    assert not list(tmp_path.glob("ds.*"))  # no .tmp, .old.tmp or .lock left behind
+
 
 def test_steps_file_matches_documented_row_layout(tmp_path, episode):
     """Rebuild each steps file from docs/format.md: u64 index, obs f64s, act f64s."""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import struct
 
 import numpy as np
@@ -9,6 +11,8 @@ from multirate.augment import source_indices
 from multirate.errors import NonIntegerRatio, ValidationFailure
 from multirate.model import (
     AlignedEpisode,
+    AugmentedDataset,
+    DatasetManifest,
     Episode,
     FrameRecord,
     FrameStream,
@@ -264,3 +268,36 @@ def test_aligned_episode_copies_views_of_changeable_memory():
     # a view of bytes, which nothing can change, is kept as it is
     loaded = np.frombuffer(_rows(joints=1, steps=3).tobytes(), dtype=step_dtype(1))
     assert AlignedEpisode(rows=loaded, cameras=("cam",), provenance=PROV).rows is loaded
+
+
+def _sub(source, offset, joints=1):
+    return AlignedEpisode(
+        rows=_rows(joints=joints, steps=2), cameras=("cam",),
+        provenance=Provenance(source_episode_id=source, offset=offset),
+    )
+
+
+def test_dataset_groups_sub_episodes_by_source():
+    # manifest order b, a, c; c's two slots are taken by a and b
+    subs = [_sub("a", 1), _sub("b", 0), _sub("a", 0), _sub("b", 1), _sub("a", 1), _sub("b", 0)]
+    manifest = DatasetManifest(method=Method.FORWARD, ratio=2, source_episode_ids=("b", "a", "c"))
+    ds = AugmentedDataset(episodes=subs, manifest=manifest)
+    # keys in manifest order, each source's sub-episodes in stored order
+    position = {id(sub): i for i, sub in enumerate(ds.episodes)}
+    got = [(src, [position[id(sub)] for sub in group]) for src, group in ds.by_source.items()]
+    assert got == [("b", [1, 3, 5]), ("a", [0, 2, 4]), ("c", [])]
+    assert ds.by_source["c"] == ()
+    with pytest.raises(TypeError):
+        ds.by_source["c"] = (subs[0],)
+    # a dataset still pickles and deep-copies, with its grouping
+    for clone in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+        assert clone == ds and [len(g) for g in clone.by_source.values()] == [3, 3, 0]
+
+
+def test_dataset_holds_one_joint_count():
+    manifest = DatasetManifest(method=Method.FORWARD, ratio=2, source_episode_ids=("a",))
+    AugmentedDataset(episodes=[_sub("a", 0, joints=2), _sub("a", 1, joints=2)], manifest=manifest)
+    with pytest.raises(ValidationFailure, match="source a offset 1: 3 joints, but the first"):
+        AugmentedDataset(
+            episodes=[_sub("a", 0, joints=2), _sub("a", 1, joints=3)], manifest=manifest
+        )
