@@ -13,7 +13,7 @@ outside the recording are clamped to its ends, never dropped.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,34 +51,27 @@ def source_indices(
     return raw, np.clip(raw, 0, sample_count - 1)
 
 
-def gather_steps(episode: Episode, offsets: Sequence[int]) -> np.ndarray:
-    """The steps of every offset's sub-episode, in one gather over the source.
+def iter_steps(episode: Episode, offsets: Sequence[int]) -> Iterator[np.ndarray]:
+    """The steps of each offset's sub-episode, one offset at a time.
 
-    Returns a (len(offsets), frame_count) array of step_dtype(joints): row i
-    holds the steps of the sub-episode at offsets[i], laid out as in
-    slice_episode.
+    Yields, for each of `offsets` in order, a (frame_count,) array of
+    step_dtype(joints) of its own, laid out as in slice_episode.  A caller
+    that drops each array before taking the next holds one sub-episode's
+    steps, never all of the source's.
     """
     _, clipped = source_indices(
         offsets, episode.ratio, episode.frame_count, episode.sample_count
     )
     width = episode.joints * CHANNELS_PER_JOINT
-    rows = np.empty(clipped.shape, dtype=step_dtype(episode.joints))
-    rows["source_index"] = clipped
-    # np.take fills the fields in place: cheaper than assigning a fancy-indexed copy
-    np.take(episode.follower.data.reshape(-1, width), clipped, axis=0, out=rows["observation"])
-    np.take(episode.leader.data.reshape(-1, width), clipped, axis=0, out=rows["action"])
-    return rows
-
-
-def _sub_episodes(episode: Episode, offsets: Sequence[int]) -> list[AlignedEpisode]:
-    return [
-        AlignedEpisode(
-            rows=rows,
-            cameras=episode.camera_ids,
-            provenance=Provenance(source_episode_id=episode.episode_id, offset=offset),
-        )
-        for offset, rows in zip(offsets, gather_steps(episode, offsets))
-    ]
+    follower = episode.follower.data.reshape(-1, width)
+    leader = episode.leader.data.reshape(-1, width)
+    for indices in clipped:
+        rows = np.empty(indices.shape, dtype=step_dtype(episode.joints))
+        rows["source_index"] = indices
+        # np.take fills the fields in place: cheaper than assigning a fancy-indexed copy
+        np.take(follower, indices, axis=0, out=rows["observation"])
+        np.take(leader, indices, axis=0, out=rows["action"])
+        yield rows
 
 
 def slice_episode(episode: Episode, offset: int) -> AlignedEpisode:
@@ -89,15 +82,19 @@ def slice_episode(episode: Episode, offset: int) -> AlignedEpisode:
     both flattened joint-major to length 3 * joints.  The result always has
     exactly frame_count steps regardless of clamping.
     """
-    return _sub_episodes(episode, (offset,))[0]
+    return AlignedEpisode(
+        rows=next(iter_steps(episode, (offset,))),
+        cameras=episode.camera_ids,
+        provenance=Provenance(source_episode_id=episode.episode_id, offset=offset),
+    )
 
 
-def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
-    """Expand a batch of episodes into aligned sub-episodes.
+def check_batch(episodes: Sequence[Episode], method: Method) -> DatasetManifest:
+    """The manifest of augmenting `episodes` with `method`, after the batch checks.
 
-    All inputs must share one rate ratio (MixedRatio otherwise) and the
-    batch must be non-empty (EmptyInput).  Output order is source-major,
-    offsets ascending within each source.
+    Raises EmptyInput for an empty batch, MixedRatio for mixed rate ratios,
+    and ValidationFailure for duplicate ids or mixed joint counts; the last
+    is worded as AugmentedDataset words it.  Nothing is gathered.
     """
     episodes = list(episodes)
     if not episodes:
@@ -109,13 +106,35 @@ def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
     ids = [ep.episode_id for ep in episodes]
     if len(set(ids)) != len(ids):
         raise ValidationFailure(f"duplicate episode ids in batch: {ids}")
-    offsets = make_offsets(method, ratio)
-    subs = [sub for ep in episodes for sub in _sub_episodes(ep, offsets)]
+    for ep in episodes:
+        if ep.joints != episodes[0].joints:
+            raise ValidationFailure(
+                f"source {ep.episode_id} offset {make_offsets(method, ratio)[0]}: "
+                f"{ep.joints} joints, but the first sub-episode has {episodes[0].joints}"
+            )
+    return DatasetManifest(method=method, ratio=ratio, source_episode_ids=tuple(ids))
+
+
+def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
+    """Expand a batch of episodes into aligned sub-episodes.
+
+    The batch must pass check_batch.  Output order is source-major, offsets
+    ascending within each source.
+    """
+    episodes = list(episodes)
+    manifest = check_batch(episodes, method)
+    offsets = make_offsets(method, manifest.ratio)
     return AugmentedDataset(
-        episodes=tuple(subs),
-        manifest=DatasetManifest(
-            method=method, ratio=ratio, source_episode_ids=tuple(ids)
+        episodes=tuple(
+            AlignedEpisode(
+                rows=rows,
+                cameras=ep.camera_ids,
+                provenance=Provenance(source_episode_id=ep.episode_id, offset=offset),
+            )
+            for ep in episodes
+            for offset, rows in zip(offsets, iter_steps(ep, offsets))
         ),
+        manifest=manifest,
     )
 
 

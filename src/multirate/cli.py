@@ -14,14 +14,16 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterator
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
-from .augment import augment, evenness_report, gather_steps, source_indices
+from .augment import augment, check_batch, evenness_report, iter_steps, source_indices
 from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
     _as_directory,
+    is_staging_name,
     load_manifest,
     read_dataset,
     read_episode,
@@ -31,6 +33,7 @@ from .io import (
 )
 from .model import (
     CHANNELS_PER_JOINT,
+    AlignedEpisode,
     AugmentedDataset,
     Episode,
     Method,
@@ -107,7 +110,8 @@ def _collect_episode_dirs(inputs: list[str]) -> list[Path]:
             continue
         if path.is_dir():
             kids = sorted(
-                p for p in path.iterdir() if (p / "manifest.json").is_file()
+                p for p in path.iterdir()
+                if not is_staging_name(p.name) and (p / "manifest.json").is_file()
             )
             if kids:
                 found.extend(kids)
@@ -119,11 +123,18 @@ def _collect_episode_dirs(inputs: list[str]) -> list[Path]:
 def cmd_augment(args: argparse.Namespace) -> int:
     method = Method.from_name(args.method)
     episodes = [read_episode(d) for d in _collect_episode_dirs(args.inputs)]
-    dataset = augment(episodes, method)
-    dest = write_dataset(dataset, args.out, overwrite=args.force).parent
+    manifest = check_batch(episodes, method)
+    # the batch is checked whole, then augmented one source at a time as it is
+    # written, so one source's sub-episodes are held, never the whole dataset
+    streamed = SimpleNamespace(
+        manifest=manifest,
+        episodes=(sub for ep in episodes for sub in augment([ep], method).episodes),
+    )
+    dest = write_dataset(streamed, args.out, overwrite=args.force).parent
+    count = len(episodes) * len(make_offsets(method, manifest.ratio))
     print(
-        f"{len(episodes)} episodes -> {dataset.episode_count} sub-episodes  "
-        f"method={method.value} ratio={dataset.manifest.ratio}"
+        f"{len(episodes)} episodes -> {count} sub-episodes  "
+        f"method={method.value} ratio={manifest.ratio}"
     )
     print(f"wrote {dest}")
     _write_report(
@@ -131,29 +142,31 @@ def cmd_augment(args: argparse.Namespace) -> int:
         {
             "command": "augment",
             "method": method.value,
-            "ratio": dataset.manifest.ratio,
+            "ratio": manifest.ratio,
             "sources": len(episodes),
-            "sub_episodes": dataset.episode_count,
+            "sub_episodes": count,
         },
     )
     return 0
 
 
-def _find_source_episodes(
+def _source_candidates(
     dataset_dir: Path, extra: list[str], wanted: tuple[str, ...]
-) -> dict[str, Episode]:
-    """Read the episodes whose ids are in `wanted`, nearest directories first."""
+) -> dict[str, list[tuple[Path, dict]]]:
+    """Each wanted id's episode directories and manifests, nearest first; no payload is read."""
     candidates = []
+    scanned = []  # found by listing a directory, so a staging directory is skipped
     for raw in extra:
         path = Path(raw)
         if (path / "manifest.json").is_file():
             candidates.append(path)
         elif path.is_dir():
-            candidates.extend(sorted(p for p in path.iterdir() if p.is_dir()))
+            scanned.extend(sorted(p for p in path.iterdir() if p.is_dir()))
     parent = dataset_dir.resolve().parent
     for level in (parent.glob("*"), parent.glob("*/*")):
-        candidates.extend(sorted(level))
-    out: dict[str, Episode] = {}
+        scanned.extend(sorted(level))
+    candidates.extend(p for p in scanned if not is_staging_name(p.name))
+    out: dict[str, list[tuple[Path, dict]]] = {}
     # one directory may be reached by several spellings; each is read once
     seen = {dataset_dir.resolve()}
     for path in candidates:
@@ -167,15 +180,20 @@ def _find_source_episodes(
             man = load_manifest(path)
         except MultirateError:
             continue
-        if man.get("kind") != "episode":
-            continue
         eid = str(man.get("episode_id"))
-        if eid in wanted and eid not in out:
-            try:
-                out[eid] = read_episode(path, manifest=man)
-            except MultirateError:
-                continue
+        if man.get("kind") == "episode" and eid in wanted:
+            out.setdefault(eid, []).append((path, man))
     return out
+
+
+def _read_first(candidates: list[tuple[Path, dict]]) -> Episode | None:
+    """The first candidate that reads as an episode, or None."""
+    for path, man in candidates:
+        try:
+            return read_episode(path, manifest=man)
+        except MultirateError:
+            continue
+    return None
 
 
 class _Checks:
@@ -246,47 +264,80 @@ def _validate_dataset(
 
     checks.run("ordering", _ordering)
 
-    sources = _find_source_episodes(dataset_dir, args.sources, ds.manifest.source_episode_ids)
-    located = [eid for eid in ds.by_source if eid in sources]
-    missing = len(ds.by_source) - len(located)
+    # sources are read one at a time, each checked by both rows and dropped before the next
+    candidates = _source_candidates(dataset_dir, args.sources, ds.manifest.source_episode_ids)
+    failures: dict[str, MultirateError] = {}
+    located = rederived = 0
+    for eid, subs in ds.by_source.items():
+        if _check_source(candidates.get(eid, []), subs, ds, failures):
+            located += 1
+            rederived += len(subs)
     if not located:
         checks.add("re-derivation", "skip", "no source episodes located")
         checks.add("coverage", "skip", "no source episodes located")
         return
+    missing = len(ds.by_source) - located
+    note = f"re-derived {rederived} sub-episodes from {located} sources"
+    if missing:
+        note += f" ({missing} sources not located)"
+    checks.run("re-derivation", lambda: _raise_or(failures.get("re-derivation"), note))
+    checks.run(
+        "coverage",
+        lambda: _raise_or(failures.get("coverage"), f"coverage exact for {located} sources"),
+    )
 
-    def _rederive() -> str:
-        for eid in located:
-            ep, subs = sources[eid], ds.by_source[eid]
-            want = gather_steps(ep, [sub.provenance.offset for sub in subs])
-            for sub, rows in zip(subs, want):
-                # what AlignedEpisode.__eq__ compares; provenance matches by construction
-                same = sub.cameras == ep.camera_ids and sub.rows.dtype == rows.dtype
-                if not (same and np.array_equal(sub.rows, rows)):
-                    raise MultirateError(
-                        f"source {eid} offset {sub.provenance.offset}: stored steps "
-                        "differ from re-derived steps"
-                    )
-        n = sum(len(ds.by_source[eid]) for eid in located)
-        note = f"re-derived {n} sub-episodes from {len(located)} sources"
-        if missing:
-            note += f" ({missing} sources not located)"
-        return note
 
-    checks.run("re-derivation", _rederive)
+def _raise_or(failure: MultirateError | None, note: str) -> str:
+    if failure is not None:
+        raise failure
+    return note
 
-    def _coverage() -> str:
-        for eid in located:
-            ep = sources[eid]
-            rep = evenness_report(ds, ep)
-            raw, clipped = source_indices(
-                expected_offsets, ds.manifest.ratio, ep.frame_count, ep.sample_count
+
+def _check_source(
+    candidates: list[tuple[Path, dict]],
+    subs: tuple[AlignedEpisode, ...],
+    ds: AugmentedDataset,
+    failures: dict[str, MultirateError],
+) -> bool:
+    """Read one source and run each row that has not failed yet on it; False if none reads.
+
+    A row's first failure, in source order, is kept in `failures`.
+    """
+    ep = _read_first(candidates)
+    if ep is None:
+        return False
+    for name, check in (
+        ("re-derivation", lambda: _rederive(ep, subs)),
+        ("coverage", lambda: _coverage(ep, ds)),
+    ):
+        if name not in failures:
+            try:
+                check()
+            except MultirateError as exc:
+                failures[name] = exc
+    return True
+
+
+def _rederive(ep: Episode, subs: tuple[AlignedEpisode, ...]) -> None:
+    for sub, rows in zip(subs, iter_steps(ep, [sub.provenance.offset for sub in subs])):
+        # what AlignedEpisode.__eq__ compares; provenance matches by construction.  Rows
+        # are compared as bytes: gathered steps are copies of source bytes, so a stored
+        # -0.0 where the source holds +0.0 was not gathered from it.
+        same = sub.cameras == ep.camera_ids and sub.rows.dtype == rows.dtype
+        if not (same and sub.rows.tobytes() == rows.tobytes()):
+            raise MultirateError(
+                f"source {ep.episode_id} offset {sub.provenance.offset}: stored steps "
+                "differ from re-derived steps"
             )
-            want = np.bincount(clipped.ravel(), minlength=ep.sample_count)
-            if not np.array_equal(rep.counts, want) or rep.clamped_steps != (raw != clipped).sum():
-                raise MultirateError(f"source {eid}: coverage counts mismatch")
-        return f"coverage exact for {len(located)} sources"
 
-    checks.run("coverage", _coverage)
+
+def _coverage(ep: Episode, ds: AugmentedDataset) -> None:
+    rep = evenness_report(ds, ep)
+    offsets = make_offsets(ds.manifest.method, ds.manifest.ratio)
+    raw, clipped = source_indices(offsets, ds.manifest.ratio, ep.frame_count, ep.sample_count)
+    want = np.bincount(clipped.ravel(), minlength=ep.sample_count)
+    if not np.array_equal(rep.counts, want) or rep.clamped_steps != (raw != clipped).sum():
+        raise MultirateError(f"source {ep.episode_id}: coverage counts mismatch")
 
 
 def _manifest_row(manifest: dict) -> str:
@@ -328,30 +379,42 @@ def cmd_validate(args: argparse.Namespace) -> int:
 _CHANNEL_NAMES = ("angle", "velocity", "torque")
 
 
-def _channel_summary(data: np.ndarray) -> dict:
-    """Per-joint min/max/mean for each channel of a (samples, joints, 3) block."""
-    # one contiguous row per channel, joint-major: a row's mean sums as its 1-d column's
-    columns = np.ascontiguousarray(data.reshape(len(data), -1).T)
+def _column_summary(columns: np.ndarray) -> dict:
+    """Per-joint min/max/mean for each channel of a (3 * joints, samples) C-ordered array.
+
+    Row 3j + c holds channel c of joint j; a contiguous row's mean sums as its 1-d column's.
+    """
     stats = np.stack([columns.min(axis=1), columns.max(axis=1), columns.mean(axis=1)], axis=1)
     cells = iter(dict(zip(("min", "max", "mean"), row)) for row in stats.tolist())
     return {
         f"joint{j}": {name: next(cells) for name in _CHANNEL_NAMES}
-        for j in range(data.shape[1])
+        for j in range(len(columns) // CHANNELS_PER_JOINT)
     }
+
+
+def _channel_summary(data: np.ndarray) -> dict:
+    """Per-joint min/max/mean for each channel of a (samples, joints, 3) block."""
+    return _column_summary(np.ascontiguousarray(data.reshape(len(data), -1).T))
+
+
+def _clamped_steps(ds: AugmentedDataset) -> int:
+    """Steps whose stored source index is not the raw index k * R + offset."""
+    # a dataset does not record source lengths, so only `raw` is compared, padded to
+    # the longest sub-episode; a stored index that differs from it was clamped
+    lengths = np.array([sub.step_count for sub in ds.episodes])
+    raw = source_indices(
+        [sub.provenance.offset for sub in ds.episodes], ds.manifest.ratio, lengths.max(), 1
+    )[0]
+    stored = np.concatenate([sub.source_index for sub in ds.episodes]).astype(np.int64)
+    return int(np.count_nonzero(stored != raw[np.arange(raw.shape[1]) < lengths[:, None]]))
 
 
 def _dataset_stats(ds: AugmentedDataset) -> dict:
     joints = ds.episodes[0].joints
-    # a dataset does not record source lengths, so only `raw` is compared, padded to
-    # the longest sub-episode; a stored index that differs from it was clamped
-    lengths = np.array([sub.step_count for sub in ds.episodes])
-    raw, _ = source_indices(
-        [sub.provenance.offset for sub in ds.episodes], ds.manifest.ratio, lengths.max(), 1
-    )
-    stored = np.concatenate([sub.source_index for sub in ds.episodes]).astype(np.int64)
-    clamped = int(np.count_nonzero(stored != raw[np.arange(raw.shape[1]) < lengths[:, None]]))
-    obs = np.concatenate([sub.observation for sub in ds.episodes])
-    obs = obs.reshape(len(obs), joints, CHANNELS_PER_JOINT)
+    clamped = _clamped_steps(ds)
+    # one copy of the observations, filled straight from each sub-episode's rows
+    columns = np.empty((joints * CHANNELS_PER_JOINT, sum(sub.step_count for sub in ds.episodes)))
+    np.concatenate([sub.observation.T for sub in ds.episodes], axis=1, out=columns)
     return {
         "command": "stats",
         "kind": "dataset",
@@ -359,11 +422,11 @@ def _dataset_stats(ds: AugmentedDataset) -> dict:
         "ratio": ds.manifest.ratio,
         "sources": len(ds.manifest.source_episode_ids),
         "sub_episodes": ds.episode_count,
-        "steps": len(obs),
+        "steps": columns.shape[1],
         "joints": joints,
         "clamped_steps": clamped,
         "offsets": dict(Counter(str(sub.provenance.offset) for sub in ds.episodes)),
-        "observed": _channel_summary(obs),
+        "observed": _column_summary(columns),
     }
 
 

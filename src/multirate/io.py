@@ -14,9 +14,9 @@ import json
 import os
 import shutil
 import zlib
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _json_bytes(obj: object) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _crc(data: bytes) -> str:
+def _crc(data: bytes | memoryview) -> str:
     return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
 
 
@@ -74,8 +74,24 @@ def _publish_lock(target: Path) -> Iterator[None]:
             pass
 
 
-def _publish_dir(target: Path, files: dict[str, bytes], overwrite: bool) -> Path:
-    """Write `files` into `target` atomically: temp dir, old directory set aside, rename."""
+def is_staging_name(name: str) -> bool:
+    """True for the `<name>.tmp` and `<name>.old.tmp` directories _publish_dir works in.
+
+    A killed writer can leave either behind; directory scans skip them, so
+    they are never taken for artifacts.
+    """
+    return name.endswith(".tmp")
+
+
+def _publish_dir(
+    target: Path, files: Iterable[tuple[str, bytes | memoryview]], overwrite: bool
+) -> Path:
+    """Write `files` into `target` atomically: temp dir, old directory set aside, rename.
+
+    Files are written in the order `files` gives them, so it may produce each
+    payload as it goes; if it raises, the temp dir is removed and `target` is
+    left as it was.
+    """
     target = Path(target)
     if target.exists() and not overwrite:
         raise IoFailure(f"{target} already exists (pass overwrite to replace it)")
@@ -91,20 +107,22 @@ def _publish_dir(target: Path, files: dict[str, bytes], overwrite: bool) -> Path
                 if stale.exists():
                     shutil.rmtree(stale)
             tmp.mkdir()
-            for name, data in files.items():
+            for name, data in files:
                 (tmp / name).write_bytes(data)
             if target.is_dir() and not target.is_symlink():
                 os.replace(target, aside)
             try:
                 os.replace(tmp, target)
-            except OSError:
+            except BaseException:
                 if aside.exists():
                     os.replace(aside, target)
                 raise
             shutil.rmtree(aside, ignore_errors=True)
-        except OSError as exc:
+        except BaseException as exc:
             shutil.rmtree(tmp, ignore_errors=True)
-            raise IoFailure(f"failed to publish {target}: {exc}") from exc
+            if isinstance(exc, OSError):
+                raise IoFailure(f"failed to publish {target}: {exc}") from exc
+            raise
     return target
 
 
@@ -180,20 +198,29 @@ def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> tuple[by
 
 
 def _write_artifact(
-    kind: str, fields: dict, payloads: dict[str, bytes], out_dir: str | Path, overwrite: bool
+    kind: str,
+    fields: dict,
+    payloads: Iterable[tuple[str, np.ndarray | bytes]],
+    out_dir: str | Path,
+    overwrite: bool,
 ) -> Path:
-    """Publish payloads plus the manifest that declares them; returns the manifest path."""
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        **fields,
-        "files": {
-            name: {"bytes": len(data), "crc32": _crc(data)}
-            for name, data in sorted(payloads.items())
-        },
-    }
-    files = {**payloads, "manifest.json": _json_bytes(manifest)}
-    return _publish_dir(Path(out_dir), files, overwrite) / "manifest.json"
+    """Publish payloads as they come, then the manifest that declares them.
+
+    Each payload is written and checksummed as the buffer it is, never
+    copied.  `fields` is read after the last payload, so the producer of
+    `payloads` may fill it in as it goes.  Returns the manifest path.
+    """
+    stamps = {}
+
+    def files() -> Iterator[tuple[str, bytes | memoryview]]:
+        for name, data in payloads:
+            view = memoryview(data)
+            stamps[name] = {"bytes": view.nbytes, "crc32": _crc(view)}
+            yield name, view
+        manifest = {"format_version": FORMAT_VERSION, "kind": kind, **fields, "files": stamps}
+        yield "manifest.json", _json_bytes(manifest)
+
+    return _publish_dir(Path(out_dir), files(), overwrite) / "manifest.json"
 
 
 def _open_artifact(
@@ -212,19 +239,18 @@ def _open_artifact(
     return directory, raw, payloads
 
 
-def _robot_bytes(stream: RobotStream) -> bytes:
+def _robot_payload(stream: RobotStream) -> np.ndarray:
     flat = stream.data.reshape(stream.sample_count, stream.joints * CHANNELS_PER_JOINT)
-    return np.ascontiguousarray(flat, dtype="<f8").tobytes()
+    return np.ascontiguousarray(flat, dtype="<f8")
 
 
 def write_episode(episode: Episode, out_dir: str | Path, overwrite: bool = False) -> Path:
     """Persist one episode; returns the path of the manifest written."""
-    payloads = {
-        _LEADER_FILE: _robot_bytes(episode.leader),
-        _FOLLOWER_FILE: _robot_bytes(episode.follower),
-    }
-    for fs in episode.frame_streams:
-        payloads[f"frames_{fs.camera_id}.bin"] = fs.packed
+    payloads = [
+        (_LEADER_FILE, _robot_payload(episode.leader)),
+        (_FOLLOWER_FILE, _robot_payload(episode.follower)),
+        *((f"frames_{fs.camera_id}.bin", fs.packed) for fs in episode.frame_streams),
+    ]
     fields = {
         "episode_id": episode.episode_id,
         "robot_rate_hz": episode.leader.rate_hz,
@@ -333,29 +359,38 @@ def _parse_steps(
 
 
 def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: bool = False) -> Path:
-    """Persist an augmented dataset; returns the path of the manifest written."""
-    payloads: dict[str, bytes] = {}
+    """Persist an augmented dataset; returns the path of the manifest written.
+
+    `dataset.episodes` is iterated once and each sub-episode's rows are
+    written as they come, so `episodes` may be an iterator that gathers each
+    AlignedEpisode just before it is written (the command line's augment
+    passes one that holds one source's sub-episodes at a time).
+    """
     entries = []
-    for i, sub in enumerate(dataset.episodes):
-        name = f"steps-{i:05d}.bin"
-        payloads[name] = sub.rows.tobytes()
-        entries.append(
-            {
-                "file": name,
-                "source_episode_id": sub.provenance.source_episode_id,
-                "offset": sub.provenance.offset,
-                "step_count": sub.step_count,
-                "joints": sub.joints,
-                "cameras": list(sub.cameras),
-            }
-        )
+
+    def payloads() -> Iterator[tuple[str, np.ndarray]]:
+        for i, sub in enumerate(dataset.episodes):
+            name = f"steps-{i:05d}.bin"
+            entries.append(
+                {
+                    "file": name,
+                    "source_episode_id": sub.provenance.source_episode_id,
+                    "offset": sub.provenance.offset,
+                    "step_count": sub.step_count,
+                    "joints": sub.joints,
+                    "cameras": list(sub.cameras),
+                }
+            )
+            # a read-only strided view of payload bytes is kept by AlignedEpisode as it is
+            yield name, np.ascontiguousarray(sub.rows)
+
     fields = {
         "method": dataset.manifest.method.value,
         "ratio": dataset.manifest.ratio,
         "source_episode_ids": list(dataset.manifest.source_episode_ids),
         "episodes": entries,
     }
-    return _write_artifact("dataset", fields, payloads, out_dir, overwrite)
+    return _write_artifact("dataset", fields, payloads(), out_dir, overwrite)
 
 
 def read_dataset(

@@ -13,8 +13,8 @@ from multirate import cli, sim
 from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
 from multirate.augment import augment, source_indices
-from multirate.model import Method
-from multirate.errors import NumericalDivergence, ParseFailure
+from multirate.model import Method, RobotStream
+from multirate.errors import MultirateError, NumericalDivergence, ParseFailure
 from multirate.sim import default_sim_config, load_sim_config, run_simulation, sim_config_to_dict
 
 from conftest import make_episode
@@ -798,3 +798,90 @@ def test_simulate_config_that_is_not_utf8_is_a_parse_failure(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ParseFailure: config ") and "Traceback" not in err
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_cli_augment_writes_the_bytes_of_the_library_path(tmp_path, method):
+    root, eps = _write_episode_tree(tmp_path, n=3)
+    assert main(["augment", str(root), "--method", method.value,
+                 "--out", str(tmp_path / "cli")]) == 0
+    write_dataset(augment(eps, method), tmp_path / "lib")
+    assert _tree_bytes(tmp_path / "cli") == _tree_bytes(tmp_path / "lib")
+
+
+@pytest.mark.parametrize("case", ["mixed-ratio", "duplicate-ids", "mixed-joints"])
+def test_cli_augment_refuses_a_batch_with_the_library_message(tmp_path, capsys, case):
+    a = make_episode(t_len=100, joints=2, ratio=10, episode_id="a")
+    b = {
+        "mixed-ratio": make_episode(t_len=100, joints=2, ratio=5, episode_id="b"),
+        "duplicate-ids": a,
+        "mixed-joints": make_episode(t_len=100, joints=3, ratio=10, episode_id="b"),
+    }[case]
+    for ep in {ep.episode_id: ep for ep in (a, b)}.values():
+        write_episode(ep, tmp_path / "eps" / ep.episode_id)
+    with pytest.raises(MultirateError) as lib:
+        augment([a, b], Method.DABI)
+    inputs = [str(tmp_path / "eps" / ep.episode_id) for ep in (a, b)]
+    assert main(["augment", *inputs, "--method", "dabi", "--out", str(tmp_path / "ds")]) == 1
+    assert capsys.readouterr().err == f"error: {type(lib.value).__name__}: {lib.value}\n"
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("leftover", ["ep-0.old.tmp", "ep-0.tmp"])
+def test_stale_publish_directories_are_not_taken_for_episodes(tmp_path, capsys, leftover):
+    """A killed writer's staging copy of ep-0 sits beside the episodes."""
+    root, eps = _write_episode_tree(tmp_path)
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds")]) == 0
+    clean_rows = _validate_rows(tmp_path / "ds", tmp_path)
+    assert clean_rows[0] == 0
+    shutil.copytree(root / "ep-0", root / leftover)
+    capsys.readouterr()
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds2")]) == 0
+    assert capsys.readouterr().out.startswith("2 episodes -> 20 sub-episodes")
+    assert _tree_bytes(tmp_path / "ds2") == _tree_bytes(tmp_path / "ds")
+    assert _validate_rows(tmp_path / "ds", tmp_path) == clean_rows
+
+
+def test_rederivation_compares_bytes_so_a_negative_zero_fails(tmp_path, capsys):
+    """A stored -0.0 where the source holds +0.0 equals it as a value, not as the gathered bytes."""
+    ep = make_episode(t_len=100, joints=2, ratio=10, frame_count=10, episode_id="ep-0")
+    follower = ep.follower.data.copy()
+    follower[0, 0, 0] = 0.0
+    ep = dataclasses.replace(ep, follower=RobotStream(ep.follower.rate_hz, follower))
+    write_episode(ep, tmp_path / "eps" / "ep-0")
+    out = tmp_path / "ds"
+    assert main(["augment", str(tmp_path / "eps"), "--method", "downsample", "--out", str(out)]) == 0
+    name = "steps-00000.bin"
+    data = bytearray((out / name).read_bytes())
+    assert data[8:16] == bytes(8)  # step 0's first observation: sample 0, +0.0
+    data[15] ^= 0x80
+    (out / name).write_bytes(bytes(data))
+    crc = f"{zlib.crc32(bytes(data)) & 0xFFFFFFFF:08x}"
+    _rewrite_manifest(out, lambda raw: raw["files"][name].update(crc32=crc))
+    assert read_dataset(out).episodes[0].observation[0, 0] == 0.0
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert rows[5:] == [
+        ("re-derivation", "fail",
+         "MultirateError: source ep-0 offset 0: stored steps differ from re-derived steps"),
+        ("coverage", "ok", "coverage exact for 1 sources"),
+    ]
+
+
+def test_a_source_named_explicitly_is_read_whatever_its_name(tmp_path, capsys):
+    """Only directories found by listing are skipped for a staging name, not a --sources path."""
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "far" / "away" / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    for ep in eps:
+        (root / ep.episode_id).rename(root / f"{ep.episode_id}.tmp")
+    report = tmp_path / "report.json"
+    rc = main(["validate", str(out), "--sources", str(root / "ep-0.tmp"), "--sources", str(root),
+               "--report", str(report)])
+    assert rc == 0
+    rows = {r["name"]: r["detail"] for r in json.loads(report.read_text())["checks"]}
+    assert rows["re-derivation"] == "re-derived 10 sub-episodes from 1 sources (1 sources not located)"

@@ -4,6 +4,7 @@ import struct
 import tracemalloc
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -502,3 +503,68 @@ def test_frame_file_damage_messages(tmp_path, case):
         read_episode(d)
     assert type(info.value) is error
     assert str(info.value) == message.format(path=d / "frames_cam.bin")
+
+
+def test_payloads_that_fail_midway_leave_no_temp_dir_and_the_old_artifact(tmp_path, episode):
+    """Payloads are produced during the write: a producer that raises ends the publish."""
+    target = tmp_path / "ds"
+    old = augment([episode], Method.DABI)
+    write_dataset(old, target)
+    before = tree_bytes(target)
+    new = augment([episode], Method.FORWARD)
+
+    def failing():
+        for i, sub in enumerate(new.episodes):
+            if i == 3:
+                raise RuntimeError("producer failed")
+            yield sub
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        write_dataset(SimpleNamespace(manifest=new.manifest, episodes=failing()), target,
+                      overwrite=True)
+    assert tree_bytes(target) == before
+    assert read_dataset(target) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_episodes_given_as_an_iterator_are_written_as_the_dataset(tmp_path):
+    """write_dataset takes `episodes` one at a time, as the command line's augment hands them over."""
+    eps = [
+        make_episode(t_len=95, joints=3, ratio=10, frame_count=10, episode_id="a", seed=1),
+        make_episode(t_len=61, joints=3, ratio=10, frame_count=7, episode_id="b", seed=2),
+    ]
+    whole = augment(eps, Method.DABI)
+    write_dataset(whole, tmp_path / "whole")
+    write_dataset(SimpleNamespace(manifest=whole.manifest, episodes=iter(whole.episodes)),
+                  tmp_path / "iterated")
+    assert tree_bytes(tmp_path / "iterated") == tree_bytes(tmp_path / "whole")
+
+
+def test_an_interrupt_between_the_renames_puts_the_old_artifact_back(tmp_path, episode, monkeypatch):
+    target = tmp_path / "ds"
+    old = augment([episode], Method.DABI)
+    write_dataset(old, target)
+    before = tree_bytes(target)
+    real_replace = io.os.replace
+
+    def replace(src, dst):
+        if Path(src).name == "ds.tmp":
+            raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    monkeypatch.setattr(io.os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        write_dataset(augment([episode], Method.FORWARD), target, overwrite=True)
+    assert tree_bytes(target) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_rows_that_are_a_strided_view_are_written_as_their_steps(tmp_path, episode):
+    """A read-only strided view over payload bytes is kept by AlignedEpisode without a copy."""
+    ds = read_dataset(write_dataset(augment([episode], Method.DOWNSAMPLE), tmp_path / "ds"))
+    sub = ds.episodes[0]
+    every_other = dataclasses.replace(sub, rows=sub.rows[::2])
+    assert not every_other.rows.flags.c_contiguous
+    dataset = dataclasses.replace(ds, episodes=(every_other,))
+    loaded = read_dataset(write_dataset(dataset, tmp_path / "strided"))
+    assert loaded.episodes[0].rows.tobytes() == sub.rows[::2].tobytes()
