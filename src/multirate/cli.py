@@ -101,6 +101,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _subdirs(path: Path) -> list[Path]:
+    """The directories in `path`, symlinked ones too, by name; none when it cannot be listed.
+
+    Entries are told apart by the type the listing gives, so plain files cost no stat.
+    """
+    try:
+        with os.scandir(path) as entries:
+            return sorted(Path(e.path) for e in entries if e.is_dir())
+    except OSError:
+        return []
+
+
 def _collect_episode_dirs(inputs: list[str]) -> list[Path]:
     found = []
     for raw in inputs:
@@ -108,15 +120,13 @@ def _collect_episode_dirs(inputs: list[str]) -> list[Path]:
         if (path / "manifest.json").is_file():
             found.append(path)
             continue
-        if path.is_dir():
-            kids = sorted(
-                p for p in path.iterdir()
-                if not is_staging_name(p.name) and (p / "manifest.json").is_file()
-            )
-            if kids:
-                found.extend(kids)
-                continue
-        raise MultirateError(f"{path}: no episode directories found")
+        kids = [
+            p for p in _subdirs(path)
+            if not is_staging_name(p.name) and (p / "manifest.json").is_file()
+        ]
+        if not kids:
+            raise MultirateError(f"{path}: no episode directories found")
+        found.extend(kids)
     return found
 
 
@@ -160,11 +170,11 @@ def _source_candidates(
         path = Path(raw)
         if (path / "manifest.json").is_file():
             candidates.append(path)
-        elif path.is_dir():
-            scanned.extend(sorted(p for p in path.iterdir() if p.is_dir()))
-    parent = dataset_dir.resolve().parent
-    for level in (parent.glob("*"), parent.glob("*/*")):
-        scanned.extend(sorted(level))
+        else:
+            scanned.extend(_subdirs(path))
+    # the directories beside the dataset, then those one level below them
+    beside = _subdirs(dataset_dir.resolve().parent)
+    scanned += beside + [p for d in beside for p in _subdirs(d)]
     candidates.extend(p for p in scanned if not is_staging_name(p.name))
     out: dict[str, list[tuple[Path, dict]]] = {}
     # one directory may be reached by several spellings; each is read once

@@ -10,9 +10,11 @@ directory that is renamed into place under an exclusive lock file.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
+import stat
 import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -158,6 +160,38 @@ def load_manifest(directory: str | Path) -> dict:
     return raw
 
 
+# open() errors that mean no regular file is there: nothing, a broken or looping
+# link, a file where a directory was expected, a socket or a driverless device
+_NOT_A_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO, errno.ENODEV})
+
+
+def _read_payload(path: Path) -> bytes:
+    """The bytes of one declared payload: one open, one fstat, then reads to EOF.
+
+    Anything but a regular file is missing; the open does not block, so a
+    FIFO in a payload's place is refused, not waited on.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    except OSError as exc:
+        if exc.errno not in _NOT_A_FILE:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+    else:
+        try:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):
+                # the stat size is a first guess: reading goes on to EOF
+                chunks = []
+                while chunk := os.read(fd, st.st_size + 1 if not chunks else 1 << 16):
+                    chunks.append(chunk)
+                return b"".join(chunks)
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+        finally:
+            os.close(fd)
+    raise ValidationFailure(f"{path.parent}: declared file {path.name} is missing")
+
+
 def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
     """Check every payload file the manifest declares; raise on any defect.
 
@@ -176,9 +210,7 @@ def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
         if not isinstance(stamp, dict):
             raise ParseFailure(f"{directory}/manifest.json: files entry {name!r} is not an object")
         path = directory / name
-        if not path.is_file():
-            raise ValidationFailure(f"{directory}: declared file {name} is missing")
-        data = path.read_bytes()
+        data = _read_payload(path)
         if len(data) != stamp.get("bytes"):
             raise ChecksumMismatch(
                 f"{path}: size {len(data)} != declared {stamp.get('bytes')}"
@@ -286,6 +318,17 @@ def _parse_frames(
     payloads: dict[str, bytes], directory: Path, camera_id: str, rate_hz: int, frame_count: int
 ) -> FrameStream:
     data, path = _payload(payloads, directory, f"frames_{camera_id}.bin")
+    if len(data) >= FRAME_HEADER.size:
+        # when the first record's size tiles the file, every record may have that size;
+        # from_packed checks each header against these starts
+        record = FRAME_HEADER.size + FRAME_HEADER.unpack_from(data)[1]
+        count, rest = divmod(len(data), record)
+        if not rest and count == frame_count:
+            starts = np.arange(FRAME_HEADER.size, len(data), record, dtype=np.int64)
+            try:
+                return FrameStream.from_packed(camera_id, rate_hz, data, starts)
+            except ValidationFailure:
+                pass  # records differ in size, or are bad: the walk finds which
     # a record's place depends on every length before it, so the headers are walked
     starts = []
     pos, end = 0, len(data)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalDivergence, ParseFailure, ValidationFailure
-from .model import Episode, FrameRecord, FrameStream, RobotStream
+from .model import FRAME_HEADER, Episode, FrameStream, RobotStream
 
 STATE_LIMIT = 1.0e6  # rad or rad/s; beyond this the run is declared divergent
 
@@ -689,21 +689,26 @@ def run_simulations(
 
     angles = streams[..., 0]
     max_gaps = np.abs(angles[:, 0] - angles[:, 1]).max(axis=(1, 2))
-    # each frame carries the follower angles of its anchor sample, little-endian
-    payloads = angles[:, 1, ::ratio].astype("<f8")
+    # each seed's frame file as one record array (docs/format.md): every frame carries
+    # the follower angles of its anchor sample, little-endian
+    anchors = angles[:, 1, ::ratio]
+    record = np.dtype([("seq", "<u8"), ("length", "<u8"), ("payload", "<f8", jc)])
+    frames = np.empty(anchors.shape[:2], record)
+    frames["seq"] = np.arange(frames.shape[1])
+    frames["length"] = record["payload"].itemsize
+    frames["payload"] = anchors
+    starts = FRAME_HEADER.size + record.itemsize * np.arange(frames.shape[1])
     results = []
-    for c, seed_streams, seed_commands, max_gap, seed_payloads in zip(
-        configs, streams, commands, max_gaps, payloads
+    for c, seed_streams, seed_commands, max_gap, seed_frames in zip(
+        configs, streams, commands, max_gaps, frames
     ):
-        frames = tuple(
-            FrameRecord(seq=n, payload=row.tobytes()) for n, row in enumerate(seed_payloads)
-        )
+        packed = seed_frames.tobytes()
         episode = Episode(
             episode_id=f"{sched.name}-{c.seed:05d}",
             leader=RobotStream(rate_hz=config.robot_rate_hz, data=seed_streams[0]),
             follower=RobotStream(rate_hz=config.robot_rate_hz, data=seed_streams[1]),
             frame_streams=tuple(
-                FrameStream(camera_id=cam, rate_hz=config.frame_rate_hz, records=frames)
+                FrameStream.from_packed(cam, config.frame_rate_hz, packed, starts)
                 for cam in config.cameras
             ),
             meta={"task": sched.name, "seed": str(c.seed), "source": "bilateral-sim"},

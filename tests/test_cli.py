@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import importlib.metadata
 import json
+import os
 import shutil
 import sys
 import zlib
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multirate import cli, sim
+from multirate import cli, io, sim
 from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
 from multirate.augment import augment, source_indices
@@ -328,13 +330,13 @@ def test_validate_reads_each_payload_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "ds"
     assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
     reads = []
-    original = Path.read_bytes
+    original = io._read_payload
 
-    def counting(self):
-        reads.append(self)
-        return original(self)
+    def counting(path):
+        reads.append(path)
+        return original(path)
 
-    monkeypatch.setattr(Path, "read_bytes", counting)
+    monkeypatch.setattr(io, "_read_payload", counting)
 
     def payloads(directory):
         return sorted(directory / name for name in json.loads(
@@ -885,3 +887,115 @@ def test_a_source_named_explicitly_is_read_whatever_its_name(tmp_path, capsys):
     assert rc == 0
     rows = {r["name"]: r["detail"] for r in json.loads(report.read_text())["checks"]}
     assert rows["re-derivation"] == "re-derived 10 sub-episodes from 1 sources (1 sources not located)"
+
+
+def test_an_unreadable_payload_fails_each_command_without_a_traceback(
+    tmp_path, monkeypatch, capsys
+):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    refused = {out / "steps-00003.bin", root / "ep-1" / "leader.f64"}
+    original = os.open
+
+    def refusing(path, flags, *args, **kwargs):
+        if Path(path) in refused:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return original(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing)
+    capsys.readouterr()
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert rows[1] == (
+        "checksums", "fail",
+        "IoFailure: cannot read ds/steps-00003.bin: [Errno 13] Permission denied: "
+        "'ds/steps-00003.bin'",
+    )
+    for command in (["stats", str(out)],
+                    ["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds2")]):
+        capsys.readouterr()
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IoFailure: cannot read ") and "Permission denied" in err
+
+
+def test_validate_probes_for_manifests_only_under_directories(tmp_path, monkeypatch, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    probed = []
+    original = Path.is_file
+
+    def probing(self):
+        if self.name == "manifest.json":
+            probed.append(self.parent)
+        return original(self)
+
+    monkeypatch.setattr(Path, "is_file", probing)
+    assert main(["validate", str(out)]) == 0
+    beside_no_files = list(probed)
+    for i in range(60):
+        (tmp_path / f"note-{i:02d}.txt").write_text("plain file\n")
+        (root / f"note-{i:02d}.txt").write_text("plain file\n")
+    probed.clear()
+    assert main(["validate", str(out)]) == 0
+    assert "re-derived 20 sub-episodes from 2 sources" in capsys.readouterr().out
+    assert probed == beside_no_files
+    assert all(p.is_dir() for p in probed)
+    # augment lists its input directories the same way
+    probed.clear()
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds2")]) == 0
+    assert sorted(probed) == [root, root / "ep-0", root / "ep-0", root / "ep-1", root / "ep-1"]
+
+
+def _globbed_candidates(dataset_dir, extra, wanted):
+    """The source scan written with glob, which probes every entry, plain files too."""
+    candidates, scanned = [], []
+    for raw in extra:
+        path = Path(raw)
+        if (path / "manifest.json").is_file():
+            candidates.append(path)
+        elif path.is_dir():
+            scanned.extend(sorted(p for p in path.iterdir() if p.is_dir()))
+    parent = dataset_dir.resolve().parent
+    for level in (parent.glob("*"), parent.glob("*/*")):
+        scanned.extend(sorted(level))
+    candidates.extend(p for p in scanned if not p.name.endswith(".tmp"))
+    out, seen = {}, {dataset_dir.resolve()}
+    for path in candidates:
+        if not (path / "manifest.json").is_file() or path.resolve() in seen:
+            continue
+        seen.add(path.resolve())
+        man = json.loads((path / "manifest.json").read_text())
+        if man.get("kind") == "episode" and man["episode_id"] in wanted:
+            out.setdefault(man["episode_id"], []).append(path)
+    return out
+
+
+def test_source_scan_finds_the_sources_the_glob_scan_found(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    (tmp_path / "alias").symlink_to(root, target_is_directory=True)
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    (tmp_path / "notes.txt").write_text("plain file\n")
+    (root / "notes.txt").write_text("plain file\n")
+    shutil.copytree(root / "ep-0", root / "ep-0.tmp")
+    shutil.copytree(out, tmp_path / "ds.old.tmp")
+    shutil.copytree(root, tmp_path / "user.tmp")  # a user's directory, not a staging copy
+    shutil.copytree(root / "ep-1", tmp_path / "ep-1-copy")
+    shutil.copytree(root / "ep-0", tmp_path / "far" / "ep-0")
+    shutil.copytree(root, tmp_path / "far" / "root")
+    wanted = ("ep-0", "ep-1")
+    for extra in ([], [str(tmp_path / "far" / "ep-0"), str(tmp_path / "far" / "root")]):
+        found = cli._source_candidates(out, extra, wanted)
+        assert {eid: [p for p, _ in c] for eid, c in found.items()} == _globbed_candidates(
+            out, extra, wanted
+        )
+    # nearest first, then by name: the alias stands for the episodes it points at
+    assert [p for p, _ in cli._source_candidates(out, [], wanted)["ep-0"]] == [
+        tmp_path.resolve() / where / "ep-0" for where in ("alias", "far", "user.tmp")
+    ]
+    assert main(["validate", str(out)]) == 0
+    assert "re-derived 20 sub-episodes from 2 sources" in capsys.readouterr().out

@@ -1,6 +1,10 @@
 import dataclasses
+import errno
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -15,6 +19,7 @@ from multirate.augment import augment
 from multirate.errors import (
     ChecksumMismatch,
     IoFailure,
+    MultirateError,
     NonIntegerRatio,
     ParseFailure,
     ValidationFailure,
@@ -30,6 +35,8 @@ from multirate.io import (
 from multirate.model import FrameRecord, FrameStream, Method
 
 from conftest import episode_strategy, make_episode
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -143,6 +150,49 @@ def test_missing_declared_file_is_rejected(tmp_path, episode):
     with pytest.raises(ValidationFailure) as exc:
         read_dataset(d)
     assert "steps-00004.bin" in str(exc.value)
+
+
+def test_a_directory_in_a_payloads_place_is_missing(tmp_path, episode):
+    d = write_episode(episode, tmp_path / "ep").parent
+    (d / "leader.f64").unlink()
+    (d / "leader.f64").mkdir()
+    with pytest.raises(ValidationFailure) as exc:
+        read_episode(d)
+    assert str(exc.value) == f"{d}: declared file leader.f64 is missing"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_fifo_in_a_payloads_place_is_missing_without_blocking(tmp_path, episode):
+    """Run in a child with a timeout: a reader that waits on the FIFO fails, not hangs."""
+    d = write_episode(episode, tmp_path / "ep").parent
+    (d / "frames_a.bin").unlink()
+    os.mkfifo(d / "frames_a.bin")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "multirate", "validate", str(d)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert done.returncode == 1, done.stderr
+    row = "FAIL checksums: ValidationFailure: ep: declared file frames_a.bin is missing"
+    assert row in done.stdout
+    assert "Traceback" not in done.stderr
+
+
+def test_an_unreadable_payload_is_an_io_failure(tmp_path, episode, monkeypatch):
+    d = write_episode(episode, tmp_path / "ep").parent
+    original = os.open
+
+    def refusing(path, flags, *args, **kwargs):
+        if Path(path).name == "follower.f64":
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return original(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing)
+    with pytest.raises(IoFailure) as exc:
+        read_episode(d)
+    path = d / "follower.f64"
+    assert str(exc.value) == f"cannot read {path}: [Errno 13] Permission denied: '{path}'"
 
 
 def test_undeclared_episode_count_is_rejected(tmp_path, episode):
@@ -339,13 +389,13 @@ def test_readers_read_each_payload_once(tmp_path, episode, monkeypatch):
     ep_dir = write_episode(episode, tmp_path / "ep").parent
     ds_dir = write_dataset(augment([episode], Method.DABI), tmp_path / "ds").parent
     reads = []
-    original = Path.read_bytes
+    original = io._read_payload
 
-    def counting(self):
-        reads.append(self.name)
-        return original(self)
+    def counting(path):
+        reads.append(path.name)
+        return original(path)
 
-    monkeypatch.setattr(Path, "read_bytes", counting)
+    monkeypatch.setattr(io, "_read_payload", counting)
     read_episode(ep_dir)
     assert sorted(reads) == sorted(load_manifest(ep_dir)["files"])
     reads.clear()
@@ -503,6 +553,70 @@ def test_frame_file_damage_messages(tmp_path, case):
         read_episode(d)
     assert type(info.value) is error
     assert str(info.value) == message.format(path=d / "frames_cam.bin")
+
+
+def _walked(blob: bytes, path: Path, frame_count: int) -> FrameStream:
+    """The frame stream a reader finds by walking every record header in turn."""
+    starts, pos = [], 0
+    while pos < len(blob):
+        if pos + 16 > len(blob):
+            raise ParseFailure(f"{path}: truncated record header at byte {pos}")
+        seq, length = struct.unpack_from("<QQ", blob, pos)
+        pos += 16
+        if pos + length > len(blob):
+            raise ParseFailure(f"{path}: record {seq} payload runs past end of file")
+        starts.append(pos)
+        pos += length
+    if len(starts) != frame_count:
+        raise ValidationFailure(
+            f"{path}: holds {len(starts)} frames, manifest declares {frame_count}"
+        )
+    return FrameStream.from_packed("cam", 10, blob, starts)
+
+
+@st.composite
+def _frame_files(draw):
+    """A frame file, its record count, and perhaps one truncation or one flipped byte."""
+    shape = draw(st.sampled_from(["one length", "mixed", "mixed but tiling"]))
+    if shape == "one length":
+        lengths = [draw(st.integers(0, 40))] * draw(st.integers(1, 8))
+    elif shape == "mixed":
+        lengths = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8))
+    else:
+        # like 20, 10, 30: every pair around the first length keeps F * (16 + L0) bytes
+        first = draw(st.integers(1, 30))
+        lengths = [first]
+        for delta in draw(st.lists(st.integers(1, first), min_size=1, max_size=4)):
+            pair = [first - delta, first + delta]
+            lengths += pair[::-1] if draw(st.booleans()) else pair
+    blob = _packed((k, draw(st.binary(min_size=n, max_size=n))) for k, n in enumerate(lengths))
+    damage = draw(st.sampled_from(["none", "truncate", "flip"]))
+    if damage == "truncate":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif damage == "flip":
+        pos = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:pos] + bytes([blob[pos] ^ draw(st.integers(1, 255))]) + blob[pos + 1 :]
+    return blob, len(lengths)
+
+
+def _outcome(parse):
+    try:
+        stream = parse()
+    except MultirateError as exc:
+        return type(exc), str(exc)
+    return stream.packed, stream.starts.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_frame_files(), miscount=st.sampled_from([0, 0, 1, -1]))
+def test_frame_location_matches_the_header_walk(case, miscount):
+    blob, count = case
+    directory = Path("ep")
+    frame_count = count + miscount
+    got = _outcome(
+        lambda: io._parse_frames({"frames_cam.bin": blob}, directory, "cam", 10, frame_count)
+    )
+    assert got == _outcome(lambda: _walked(blob, directory / "frames_cam.bin", frame_count))
 
 
 def test_payloads_that_fail_midway_leave_no_temp_dir_and_the_old_artifact(tmp_path, episode):
