@@ -8,6 +8,7 @@ that identical inputs yield byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -510,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--base-seed", type=int, default=0, help="seed of the first episode")
     p_sim.add_argument("--force", action="store_true", help="overwrite existing episodes")
     p_sim.add_argument("--report", help="write a JSON run report to this path")
-    p_sim.set_defaults(fn=cmd_simulate)
 
     p_aug = sub.add_parser("augment", help="expand episodes into an aligned dataset")
     p_aug.add_argument("inputs", nargs="+", help="episode dirs, or dirs of episode dirs")
@@ -523,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_aug.add_argument("--out", required=True, help="dataset directory to write")
     p_aug.add_argument("--force", action="store_true", help="overwrite an existing dataset")
     p_aug.add_argument("--report", help="write a JSON run report to this path")
-    p_aug.set_defaults(fn=cmd_augment)
 
     p_val = sub.add_parser("validate", help="check an episode or dataset directory")
     p_val.add_argument("dir", help="directory to validate")
@@ -534,22 +533,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra directories to search for source episodes",
     )
     p_val.add_argument("--report", help="write a JSON check report to this path")
-    p_val.set_defaults(fn=cmd_validate)
 
     p_st = sub.add_parser("stats", help="summarize an episode or dataset directory")
     p_st.add_argument("dir", help="directory to summarize")
     p_st.add_argument("--report", help="write a JSON stats report to this path")
-    p_st.set_defaults(fn=cmd_stats)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "count", 1) < 1:
         parser.error("--count must be >= 1")
     try:
-        return args.fn(args)
+        # looked up on each call, not kept in the parser, so a replaced cmd_* is what runs
+        return globals()[f"cmd_{args.command}"](args)
     except MultirateError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

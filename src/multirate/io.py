@@ -165,17 +165,17 @@ def load_manifest(directory: str | Path) -> dict:
 _NOT_A_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO, errno.ENODEV})
 
 
-def _read_payload(path: Path) -> bytes:
-    """The bytes of one declared payload: one open, one fstat, then reads to EOF.
+def _read_payload(directory: Path, name: str) -> bytes:
+    """The bytes of payload `name` in `directory`: one open, one fstat, then reads to EOF.
 
     Anything but a regular file is missing; the open does not block, so a
     FIFO in a payload's place is refused, not waited on.
     """
     try:
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        fd = os.open(os.path.join(directory, name), os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
     except OSError as exc:
         if exc.errno not in _NOT_A_FILE:
-            raise IoFailure(f"cannot read {path}: {exc}") from exc
+            raise IoFailure(f"cannot read {directory / name}: {exc}") from exc
     else:
         try:
             st = os.fstat(fd)
@@ -186,10 +186,10 @@ def _read_payload(path: Path) -> bytes:
                     chunks.append(chunk)
                 return b"".join(chunks)
         except OSError as exc:
-            raise IoFailure(f"cannot read {path}: {exc}") from exc
+            raise IoFailure(f"cannot read {directory / name}: {exc}") from exc
         finally:
             os.close(fd)
-    raise ValidationFailure(f"{path.parent}: declared file {path.name} is missing")
+    raise ValidationFailure(f"{directory}: declared file {name} is missing")
 
 
 def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
@@ -209,24 +209,25 @@ def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
         stamp = files[name]
         if not isinstance(stamp, dict):
             raise ParseFailure(f"{directory}/manifest.json: files entry {name!r} is not an object")
-        path = directory / name
-        data = _read_payload(path)
+        data = _read_payload(directory, name)
         if len(data) != stamp.get("bytes"):
             raise ChecksumMismatch(
-                f"{path}: size {len(data)} != declared {stamp.get('bytes')}"
+                f"{directory / name}: size {len(data)} != declared {stamp.get('bytes')}"
             )
         crc = _crc(data)
         if crc != stamp.get("crc32"):
-            raise ChecksumMismatch(f"{path}: crc32 {crc} != declared {stamp.get('crc32')}")
+            raise ChecksumMismatch(
+                f"{directory / name}: crc32 {crc} != declared {stamp.get('crc32')}"
+            )
         payloads[name] = data
     return payloads
 
 
-def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> tuple[bytes, Path]:
-    """The verified bytes of `name` and its path; undeclared names never reach the disk."""
+def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> bytes:
+    """The verified bytes of `name`; undeclared names never reach the disk."""
     if name not in payloads:
         raise ParseFailure(f"{directory}/manifest.json: {name} is not declared in files")
-    return payloads[name], directory / name
+    return payloads[name]
 
 
 def _write_artifact(
@@ -300,14 +301,14 @@ def _parse_robot(
     payloads: dict[str, bytes], directory: Path, name: str, sample_count: int, joints: int,
     rate_hz: int,
 ) -> RobotStream:
-    data, path = _payload(payloads, directory, name)
+    data = _payload(payloads, directory, name)
     width = joints * CHANNELS_PER_JOINT
     expected = sample_count * width * 8
     if len(data) != expected:
         # Size disagreements between manifest counts and payload length are a
         # content violation, not a syntax problem.
         raise ValidationFailure(
-            f"{path}: {len(data)} bytes, manifest implies {expected} "
+            f"{directory / name}: {len(data)} bytes, manifest implies {expected} "
             f"({sample_count} samples x {width} channels)"
         )
     arr = np.frombuffer(data, dtype="<f8").reshape(sample_count, joints, CHANNELS_PER_JOINT)
@@ -317,7 +318,8 @@ def _parse_robot(
 def _parse_frames(
     payloads: dict[str, bytes], directory: Path, camera_id: str, rate_hz: int, frame_count: int
 ) -> FrameStream:
-    data, path = _payload(payloads, directory, f"frames_{camera_id}.bin")
+    name = f"frames_{camera_id}.bin"
+    data = _payload(payloads, directory, name)
     if len(data) >= FRAME_HEADER.size:
         # when the first record's size tiles the file, every record may have that size;
         # from_packed checks each header against these starts
@@ -334,16 +336,16 @@ def _parse_frames(
     pos, end = 0, len(data)
     while pos < end:
         if pos + FRAME_HEADER.size > end:
-            raise ParseFailure(f"{path}: truncated record header at byte {pos}")
+            raise ParseFailure(f"{directory / name}: truncated record header at byte {pos}")
         seq, length = FRAME_HEADER.unpack_from(data, pos)
         pos += FRAME_HEADER.size
         if pos + length > end:
-            raise ParseFailure(f"{path}: record {seq} payload runs past end of file")
+            raise ParseFailure(f"{directory / name}: record {seq} payload runs past end of file")
         starts.append(pos)
         pos += length
     if len(starts) != frame_count:
         raise ValidationFailure(
-            f"{path}: holds {len(starts)} frames, manifest declares {frame_count}"
+            f"{directory / name}: holds {len(starts)} frames, manifest declares {frame_count}"
         )
     return FrameStream.from_packed(camera_id, rate_hz, data, starts)
 
@@ -391,12 +393,12 @@ def read_episode(
 def _parse_steps(
     payloads: dict[str, bytes], directory: Path, name: str, step_count: int, joints: int
 ) -> np.ndarray:
-    data, path = _payload(payloads, directory, name)
+    data = _payload(payloads, directory, name)
     dtype = step_dtype(joints)
     if len(data) != step_count * dtype.itemsize:
         raise ValidationFailure(
-            f"{path}: {len(data)} bytes, manifest implies {step_count * dtype.itemsize} "
-            f"({step_count} steps of {dtype.itemsize} bytes)"
+            f"{directory / name}: {len(data)} bytes, manifest implies "
+            f"{step_count * dtype.itemsize} ({step_count} steps of {dtype.itemsize} bytes)"
         )
     return np.frombuffer(data, dtype=dtype)
 

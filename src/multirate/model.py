@@ -101,6 +101,18 @@ def _views_immutable_bytes(arr: np.ndarray) -> bool:
     return isinstance(base, bytes)
 
 
+def _steps_finite(rows: np.ndarray) -> bool:
+    """True when every observation and action value of `rows` (step_dtype) is finite.
+
+    C-contiguous rows are tested in one pass over all their 8-byte words, the
+    index words too; only when that pass meets a non-finite word, a NaN or inf
+    value or an index whose bits read as one, are the two vector fields tested.
+    """
+    if rows.flags.c_contiguous and np.isfinite(rows.view("<f8")).all():
+        return True
+    return bool(np.isfinite(rows["observation"]).all() and np.isfinite(rows["action"]).all())
+
+
 def _as_readonly_f64(data: Any, shape_desc: str, ndim: int) -> np.ndarray:
     if (
         isinstance(data, np.ndarray)
@@ -218,8 +230,10 @@ class FrameStream:
         misfit = f"camera {camera_id}: payload starts do not match the packed frame headers"
         if heads[0] != 0 or (ends < starts).any():
             raise ValidationFailure(misfit)
-        fields = np.frombuffer(packed, np.uint8)[heads[:, None] + np.arange(FRAME_HEADER.size)]
-        seqs, lengths = fields.view("<u8").T
+        # row i of this view is the header that would start at byte i, so one take reads
+        # every header; the checks above keep each head inside `packed`
+        at = np.ndarray((len(packed) - FRAME_HEADER.size + 1, 2), "<u8", packed, strides=(1, 8))
+        seqs, lengths = at[heads].T
         if (lengths != ends - starts).any():
             raise ValidationFailure(misfit)
         wrong = np.flatnonzero(seqs != np.arange(len(starts)))
@@ -377,7 +391,7 @@ class AlignedEpisode:
             )
         if rows.shape[0] < 1:
             raise ValidationFailure("aligned episode must hold at least one step")
-        if not (np.isfinite(rows["observation"]).all() and np.isfinite(rows["action"]).all()):
+        if not _steps_finite(rows):
             raise ValidationFailure("step vectors contain non-finite values")
         object.__setattr__(self, "cameras", tuple(self.cameras))
         if len(self.cameras) < 1:

@@ -4,6 +4,7 @@ import importlib.metadata
 import json
 import os
 import shutil
+import struct
 import sys
 import zlib
 from pathlib import Path
@@ -65,6 +66,32 @@ def test_simulate_rejects_zero_count(tmp_path, small_config):
         main(["simulate", "--config", small_config, "--out", str(tmp_path / "x"),
               "--trajectory", "step", "--count", "0"])
     assert exc.value.code == 2
+
+
+def test_main_parses_every_call_afresh_with_one_parser(tmp_path, monkeypatch, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    extras = []
+    original = cli._source_candidates
+
+    def recording(dataset_dir, extra, wanted):
+        extras.append(list(extra))
+        return original(dataset_dir, extra, wanted)
+
+    monkeypatch.setattr(cli, "_source_candidates", recording)
+    assert main(["validate", str(out), "--sources", str(root)]) == 0
+    assert main(["validate", str(out)]) == 0
+    assert extras == [[str(root)], []]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(tmp_path / "x"), "--trajectory", "step", "--count", "0"])
+        assert exc.value.code == 2
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser() and build_parser() is not cli._parser()
+    # the parser is kept, but each call runs the module's cmd_* of the moment
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: 7)
+    assert main(["stats", str(out)]) == 7
 
 
 def test_usage_error_on_unknown_method(tmp_path):
@@ -305,6 +332,47 @@ def test_validate_reports_tampered_steps(tmp_path, capsys):
     assert "re-derivation" in capsys.readouterr().out
 
 
+def _restamp_word(out, name, at, word):
+    """Overwrite the 8 bytes at `at` of one payload; its crc32 is recomputed to match."""
+    data = bytearray((out / name).read_bytes())
+    data[at:at + 8] = word
+    (out / name).write_bytes(bytes(data))
+    crc = f"{zlib.crc32(bytes(data)) & 0xFFFFFFFF:08x}"
+    _rewrite_manifest(out, lambda raw: raw["files"][name].update(crc32=crc))
+
+
+def test_a_non_finite_step_value_fails_read_and_stats(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    # 2 joints: a row is the index word, then 6 observation and 6 action values
+    _restamp_word(out, "steps-00003.bin", 4 * 104 + 8 + 6 * 8 + 2 * 8, struct.pack("<d", np.nan))
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert rows[2] == ("read", "fail", "ValidationFailure: step vectors contain non-finite values")
+    capsys.readouterr()
+    assert main(["stats", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValidationFailure: step vectors contain non-finite values\n"
+    )
+
+
+def test_an_index_word_that_reads_as_nan_is_read_and_fails_the_source_rows(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    _restamp_word(out, "steps-00003.bin", 0, struct.pack("<Q", 0x7FF8000000000000))
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    assert rows[2] == ("read", "ok", "20 sub-episodes from 2 sources")
+    assert rows[5:] == [
+        ("re-derivation", "fail",
+         "MultirateError: source ep-0 offset -1: stored steps differ from re-derived steps"),
+        ("coverage", "fail",
+         "ProvenanceMismatch: source_index 9221120237041090560 outside episode of length 100"),
+    ]
+
+
 def test_validate_reads_only_source_episodes(tmp_path, monkeypatch, capsys):
     root, eps = _write_episode_tree(tmp_path)
     held_out = make_episode(t_len=100, joints=2, ratio=10, episode_id="held-out", seed=7)
@@ -332,9 +400,9 @@ def test_validate_reads_each_payload_once(tmp_path, monkeypatch, capsys):
     reads = []
     original = io._read_payload
 
-    def counting(path):
-        reads.append(path)
-        return original(path)
+    def counting(directory, name):
+        reads.append(directory / name)
+        return original(directory, name)
 
     monkeypatch.setattr(io, "_read_payload", counting)
 

@@ -391,9 +391,9 @@ def test_readers_read_each_payload_once(tmp_path, episode, monkeypatch):
     reads = []
     original = io._read_payload
 
-    def counting(path):
-        reads.append(path.name)
-        return original(path)
+    def counting(directory, name):
+        reads.append(name)
+        return original(directory, name)
 
     monkeypatch.setattr(io, "_read_payload", counting)
     read_episode(ep_dir)

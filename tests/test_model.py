@@ -1,10 +1,11 @@
 import copy
+import math
 import pickle
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirate.augment import source_indices
@@ -134,6 +135,65 @@ def test_frame_stream_rejects_starts_that_miss_the_headers(starts):
     fs = FrameStream("cam", 10, (FrameRecord(seq=0, payload=b"ab"), FrameRecord(seq=1, payload=b"")))
     with pytest.raises(ValidationFailure, match="payload starts do not match"):
         FrameStream.from_packed("cam", 10, fs.packed, starts)
+
+
+def _gathered_header_checks(camera_id, packed, starts):
+    """The reference: every header gathered as one row of an (F, 16) byte block, then checked."""
+    starts = np.array(starts, dtype=np.int64)
+    heads = starts - 16
+    ends = np.append(heads[1:], len(packed))
+    misfit = f"camera {camera_id}: payload starts do not match the packed frame headers"
+    if heads[0] != 0 or (ends < starts).any():
+        raise ValidationFailure(misfit)
+    block = np.frombuffer(packed, np.uint8)[heads[:, None] + np.arange(16)]
+    seqs, lengths = block.view("<u8").T
+    if (lengths != ends - starts).any():
+        raise ValidationFailure(misfit)
+    for position, seq in enumerate(seqs.tolist()):
+        if seq != position:
+            raise ValidationFailure(
+                f"camera {camera_id}: frame seqs must be 0..F-1 in order, "
+                f"got seq {seq} at position {position}"
+            )
+    return starts.tolist()
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except ValidationFailure as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 40), min_size=1, max_size=20),
+    uniform=st.booleans(),
+    fault=st.sampled_from([None, "seq", "length", "start+1", "start-1", "all+1", "all-1"]),
+    at=st.integers(0, 10**6),
+    junk=st.integers(0, 2**64 - 1),
+)
+def test_from_packed_checks_headers_as_the_gathered_block_does(lengths, uniform, fault, at, junk):
+    if uniform:
+        lengths = [lengths[0]] * len(lengths)
+    packed = bytearray(b"".join(
+        struct.pack("<QQ", k, n) + bytes([k % 256]) * n for k, n in enumerate(lengths)
+    ))
+    starts = (16 * np.arange(1, len(lengths) + 1) + np.cumsum([0, *lengths[:-1]])).tolist()
+    k = at % len(lengths)
+    if fault in ("seq", "length"):
+        field = starts[k] - 16 + (8 if fault == "length" else 0)
+        packed[field:field + 8] = junk.to_bytes(8, "little")
+    elif fault in ("start+1", "start-1"):
+        starts[k] += 1 if fault == "start+1" else -1
+    elif fault in ("all+1", "all-1"):
+        starts = [s + (1 if fault == "all+1" else -1) for s in starts]
+    packed = bytes(packed)
+    want = _outcome(lambda: _gathered_header_checks("cam", packed, starts))
+    got = _outcome(lambda: FrameStream.from_packed("cam", 10, packed, starts).starts.tolist())
+    assert got == want
+    if fault is None:
+        assert got == ("ok", starts)
 
 
 def test_frame_seq_must_fit_the_header():
@@ -268,6 +328,67 @@ def test_aligned_episode_copies_views_of_changeable_memory():
     # a view of bytes, which nothing can change, is kept as it is
     loaded = np.frombuffer(_rows(joints=1, steps=3).tobytes(), dtype=step_dtype(1))
     assert AlignedEpisode(rows=loaded, cameras=("cam",), provenance=PROV).rows is loaded
+
+
+# index words whose bits, read as float64, are NaN, +-inf, subnormal or -0.0
+_ODD_INDEX_WORDS = (
+    0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x000FFFFFFFFFFFFF,
+    0x8000000000000000,
+)
+
+
+def _finite_by_field(rows):
+    """The reference: each observation and action value tested on its own."""
+    return all(
+        math.isfinite(value)
+        for row in rows.tolist() for vector in row[1:] for value in vector
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    joints=st.integers(1, 6),
+    steps=st.integers(1, 50),
+    layout=st.sampled_from(["contiguous", "offset", "strided", "bytes"]),
+    seed=st.integers(0, 2**32 - 1),
+    words=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(_ODD_INDEX_WORDS)), max_size=4
+    ),
+    plant=st.none() | st.tuples(
+        st.sampled_from(["observation", "action"]), st.integers(0, 10**6),
+        st.integers(0, 10**6), st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+)
+def test_one_pass_finiteness_agrees_with_the_per_field_check(
+    joints, steps, layout, seed, words, plant
+):
+    stride = 3 if layout == "strided" else 1
+    start = 1 if layout in ("offset", "strided") else 0
+    base = np.zeros(start + steps * stride, dtype=step_dtype(joints))
+    rng = np.random.default_rng(seed)
+    for name in ("observation", "action"):
+        base[name] = rng.normal(scale=1e3, size=base[name].shape)
+    base["source_index"] = rng.integers(0, 10**6, size=len(base), dtype=np.uint64)
+    rows = base[start::stride][:steps]
+    for position, word in words:
+        rows["source_index"][position % steps] = word
+    if plant is not None:
+        name, step, column, value = plant
+        rows[name][step % steps, column % (3 * joints)] = value
+    if layout == "bytes":
+        rows = np.frombuffer(rows.tobytes(), dtype=step_dtype(joints))
+    assert rows.flags.c_contiguous == (layout != "strided" or steps == 1)
+    # index words never count, and one planted value always does
+    assert _finite_by_field(rows) == (plant is None)
+    if plant is None:
+        sub = AlignedEpisode(rows=rows, cameras=("cam",), provenance=PROV)
+        assert sub.rows.tobytes() == rows.tobytes()
+    else:
+        with pytest.raises(ValidationFailure) as exc:
+            AlignedEpisode(rows=rows, cameras=("cam",), provenance=PROV)
+        assert str(exc.value) == "step vectors contain non-finite values"
 
 
 def _sub(source, offset, joints=1):
