@@ -201,9 +201,16 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
         raise ProvenanceMismatch(
             f"source_index {stored[outside][0]} outside episode of length {t_len}"
         )
-    stored = stored.astype(np.int64)
-    raw, _ = source_indices(got, ratio, episode.frame_count, t_len)
     return CoverageReport(
-        counts=np.bincount(stored.ravel(), minlength=t_len),
-        clamped_steps=int(np.count_nonzero(stored != raw)),
+        counts=np.bincount(stored.ravel().astype(np.int64), minlength=t_len),
+        clamped_steps=count_clamped(subs, ratio),
     )
+
+
+def count_clamped(subs: Sequence[AlignedEpisode], ratio: int) -> int:
+    """Steps whose stored source index is not the raw index k * R + offset: the clamped ones."""
+    # raw indices of the longest sub-episode, cut to each one's steps: no source length is needed
+    lengths = np.array([sub.step_count for sub in subs])
+    raw, _ = source_indices([sub.provenance.offset for sub in subs], ratio, lengths.max(), 1)
+    stored = np.concatenate([sub.source_index for sub in subs]).astype(np.int64)
+    return int(np.count_nonzero(stored != raw[np.arange(raw.shape[1]) < lengths[:, None]]))

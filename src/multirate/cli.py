@@ -20,7 +20,14 @@ from typing import Any
 
 import numpy as np
 
-from .augment import augment, check_batch, evenness_report, iter_steps, source_indices
+from .augment import (
+    augment,
+    check_batch,
+    count_clamped,
+    evenness_report,
+    iter_steps,
+    source_indices,
+)
 from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
     _as_directory,
@@ -34,7 +41,6 @@ from .io import (
 )
 from .model import (
     CHANNELS_PER_JOINT,
-    AlignedEpisode,
     AugmentedDataset,
     Episode,
     Method,
@@ -83,7 +89,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config) if args.config else default_sim_config()
     out_root = Path(args.out)
     written = []
-    seeds = range(args.base_seed, args.base_seed + args.count)
+    base_seed = config.seed if args.base_seed is None else args.base_seed
+    seeds = range(base_seed, base_seed + args.count)
     for result in _simulated(config, args.trajectory, seeds):
         ep = result.episode
         dest = write_episode(ep, out_root / ep.episode_id, overwrite=args.force).parent
@@ -114,17 +121,23 @@ def _subdirs(path: Path) -> list[Path]:
         return []
 
 
-def _collect_episode_dirs(inputs: list[str]) -> list[Path]:
+def _collect_episode_dirs(inputs: list[str]) -> list[tuple[Path, dict | None]]:
+    """Each episode directory with its parsed manifest, None where it is yet to be read.
+
+    A directory named directly is read whatever it holds; one found by listing
+    counts only when its manifest says `episode`.
+    """
     found = []
     for raw in inputs:
         path = Path(raw)
         if (path / "manifest.json").is_file():
-            found.append(path)
+            found.append((path, None))
             continue
-        kids = [
-            p for p in _subdirs(path)
+        listed = [
+            (p, load_manifest(p)) for p in _subdirs(path)
             if not is_staging_name(p.name) and (p / "manifest.json").is_file()
         ]
+        kids = [(p, man) for p, man in listed if man["kind"] == "episode"]
         if not kids:
             raise MultirateError(f"{path}: no episode directories found")
         found.extend(kids)
@@ -133,7 +146,7 @@ def _collect_episode_dirs(inputs: list[str]) -> list[Path]:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     method = Method.from_name(args.method)
-    episodes = [read_episode(d) for d in _collect_episode_dirs(args.inputs)]
+    episodes = [read_episode(d, manifest=man) for d, man in _collect_episode_dirs(args.inputs)]
     manifest = check_batch(episodes, method)
     # the batch is checked whole, then augmented one source at a time as it is
     # written, so one source's sub-episodes are held, never the whole dataset
@@ -277,12 +290,21 @@ def _validate_dataset(
 
     # sources are read one at a time, each checked by both rows and dropped before the next
     candidates = _source_candidates(dataset_dir, args.sources, ds.manifest.source_episode_ids)
-    failures: dict[str, MultirateError] = {}
+    failed: dict[str, str] = {}  # each row's first failure, in source order
     located = rederived = 0
     for eid, subs in ds.by_source.items():
-        if _check_source(candidates.get(eid, []), subs, ds, failures):
-            located += 1
-            rederived += len(subs)
+        ep = _read_first(candidates.get(eid, []))
+        if ep is None:
+            continue
+        located += 1
+        rederived += len(subs)
+        for name, check in (("re-derivation", _rederive), ("coverage", _coverage)):
+            if name not in failed:
+                try:
+                    check(ep, ds)
+                except MultirateError as exc:
+                    failed[name] = f"{type(exc).__name__}: {exc}"
+        del ep
     if not located:
         checks.add("re-derivation", "skip", "no source episodes located")
         checks.add("coverage", "skip", "no source episodes located")
@@ -291,45 +313,13 @@ def _validate_dataset(
     note = f"re-derived {rederived} sub-episodes from {located} sources"
     if missing:
         note += f" ({missing} sources not located)"
-    checks.run("re-derivation", lambda: _raise_or(failures.get("re-derivation"), note))
-    checks.run(
-        "coverage",
-        lambda: _raise_or(failures.get("coverage"), f"coverage exact for {located} sources"),
-    )
+    notes = {"re-derivation": note, "coverage": f"coverage exact for {located} sources"}
+    for name in notes:
+        checks.add(name, "fail" if name in failed else "ok", failed.get(name, notes[name]))
 
 
-def _raise_or(failure: MultirateError | None, note: str) -> str:
-    if failure is not None:
-        raise failure
-    return note
-
-
-def _check_source(
-    candidates: list[tuple[Path, dict]],
-    subs: tuple[AlignedEpisode, ...],
-    ds: AugmentedDataset,
-    failures: dict[str, MultirateError],
-) -> bool:
-    """Read one source and run each row that has not failed yet on it; False if none reads.
-
-    A row's first failure, in source order, is kept in `failures`.
-    """
-    ep = _read_first(candidates)
-    if ep is None:
-        return False
-    for name, check in (
-        ("re-derivation", lambda: _rederive(ep, subs)),
-        ("coverage", lambda: _coverage(ep, ds)),
-    ):
-        if name not in failures:
-            try:
-                check()
-            except MultirateError as exc:
-                failures[name] = exc
-    return True
-
-
-def _rederive(ep: Episode, subs: tuple[AlignedEpisode, ...]) -> None:
+def _rederive(ep: Episode, ds: AugmentedDataset) -> None:
+    subs = ds.by_source[ep.episode_id]
     for sub, rows in zip(subs, iter_steps(ep, [sub.provenance.offset for sub in subs])):
         # what AlignedEpisode.__eq__ compares; provenance matches by construction.  Rows
         # are compared as bytes: gathered steps are copies of source bytes, so a stored
@@ -408,21 +398,9 @@ def _channel_summary(data: np.ndarray) -> dict:
     return _column_summary(np.ascontiguousarray(data.reshape(len(data), -1).T))
 
 
-def _clamped_steps(ds: AugmentedDataset) -> int:
-    """Steps whose stored source index is not the raw index k * R + offset."""
-    # a dataset does not record source lengths, so only `raw` is compared, padded to
-    # the longest sub-episode; a stored index that differs from it was clamped
-    lengths = np.array([sub.step_count for sub in ds.episodes])
-    raw = source_indices(
-        [sub.provenance.offset for sub in ds.episodes], ds.manifest.ratio, lengths.max(), 1
-    )[0]
-    stored = np.concatenate([sub.source_index for sub in ds.episodes]).astype(np.int64)
-    return int(np.count_nonzero(stored != raw[np.arange(raw.shape[1]) < lengths[:, None]]))
-
-
 def _dataset_stats(ds: AugmentedDataset) -> dict:
     joints = ds.episodes[0].joints
-    clamped = _clamped_steps(ds)
+    clamped = count_clamped(ds.episodes, ds.manifest.ratio)
     # one copy of the observations, filled straight from each sub-episode's rows
     columns = np.empty((joints * CHANNELS_PER_JOINT, sum(sub.step_count for sub in ds.episodes)))
     np.concatenate([sub.observation.T for sub in ds.episodes], axis=1, out=columns)
@@ -508,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--out", required=True, help="directory to hold episode directories")
     p_sim.add_argument("--count", type=int, default=1, help="number of episodes")
-    p_sim.add_argument("--base-seed", type=int, default=0, help="seed of the first episode")
+    p_sim.add_argument(
+        "--base-seed", type=int, help="seed of the first episode (default: the config's seed)"
+    )
     p_sim.add_argument("--force", action="store_true", help="overwrite existing episodes")
     p_sim.add_argument("--report", help="write a JSON run report to this path")
 
@@ -553,9 +533,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--count must be >= 1")
     try:
         # looked up on each call, not kept in the parser, so a replaced cmd_* is what runs
-        return globals()[f"cmd_{args.command}"](args)
+        rc = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return rc
     except MultirateError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader has gone (`multirate stats DS | head`): end quietly, with the
+        # process's stdout pointed at devnull so that the flush at exit has nothing to fail on
+        if sys.stdout is not sys.__stdout__:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

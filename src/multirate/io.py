@@ -95,13 +95,14 @@ def _publish_dir(
     left as it was.
     """
     target = Path(target)
-    if target.exists() and not overwrite:
-        raise IoFailure(f"{target} already exists (pass overwrite to replace it)")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create parent of {target}: {exc}") from exc
     with _publish_lock(target):
+        # checked under the lock, so a target another writer published first is never replaced
+        if target.exists() and not overwrite:
+            raise IoFailure(f"{target} already exists (pass overwrite to replace it)")
         tmp = target.parent / (target.name + ".tmp")
         aside = target.parent / (target.name + ".old.tmp")
         try:

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import subprocess
 import sys
 import zlib
 from pathlib import Path
@@ -1067,3 +1068,64 @@ def test_source_scan_finds_the_sources_the_glob_scan_found(tmp_path, capsys):
     ]
     assert main(["validate", str(out)]) == 0
     assert "re-derived 20 sub-episodes from 2 sources" in capsys.readouterr().out
+
+
+def test_augment_takes_only_episodes_from_a_listed_directory(tmp_path, capsys):
+    """A dataset written among the episodes is passed over by the listing, not read as one."""
+    root, eps = _write_episode_tree(tmp_path)
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(root / "ds")]) == 0
+    capsys.readouterr()
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds2")]) == 0
+    assert capsys.readouterr().out.startswith("2 episodes -> 20 sub-episodes")
+    assert _tree_bytes(tmp_path / "ds2") == _tree_bytes(root / "ds")
+    # a directory named directly is read whatever it holds
+    assert main(["augment", str(root / "ds"), "--method", "dabi", "--out", str(tmp_path / "x")]) == 1
+    assert "expected kind 'episode', found 'dataset'" in capsys.readouterr().err
+    # a listed manifest that does not parse fails the command: no source is dropped silently
+    (root / "ds" / "manifest.json").write_text("{")
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds4")]) == 1
+    assert capsys.readouterr().err.startswith("error: ParseFailure: ")
+    assert not (tmp_path / "ds4").exists()
+
+
+def test_simulate_starts_at_the_config_seed(tmp_path, small_config, capsys):
+    seven = tmp_path / "seven.json"
+    seven.write_text(json.dumps({**json.loads(Path(small_config).read_text()), "seed": 7}))
+    assert main(["simulate", "--config", str(seven), "--trajectory", "pick_sweep",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["pick_sweep-00007"]
+    assert _simulate_sweep(small_config, tmp_path / "b", 1, 7) == 0
+    assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, unbuffered):
+    """Unbuffered, a print meets the closed pipe; buffered, the flush at the end does."""
+    root, eps = _write_episode_tree(tmp_path)
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds")]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=path, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multirate", "stats", str(tmp_path / "ds")],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    # the reader is gone long before the command, still starting up, prints
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err.decode()) == (1, "")
+
+
+def test_files_a_dataset_manifest_does_not_declare_are_ignored(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    before = read_dataset(out)
+    clean = _validate_rows(out, tmp_path)
+    (out / "notes.txt").write_text("plain file\n")
+    shutil.copy(out / "steps-00003.bin", out / "steps-99999.bin")
+    assert read_dataset(out) == before
+    assert _validate_rows(out, tmp_path) == clean

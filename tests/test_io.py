@@ -110,6 +110,24 @@ def test_write_respects_lock(tmp_path, episode):
     assert not target.exists()
 
 
+def test_a_target_published_just_before_the_lock_is_not_replaced(tmp_path, episode, monkeypatch):
+    """Another writer publishes the target between this writer's start and its lock."""
+    target = tmp_path / "ep"
+    theirs = dataclasses.replace(episode, episode_id="theirs")
+    write_episode(theirs, tmp_path / "ref")
+    original = io._publish_lock
+
+    def racing(path):
+        monkeypatch.setattr(io, "_publish_lock", original)
+        write_episode(theirs, target)
+        return original(path)
+
+    monkeypatch.setattr(io, "_publish_lock", racing)
+    with pytest.raises(IoFailure, match="already exists"):
+        write_episode(episode, target)
+    assert tree_bytes(target) == tree_bytes(tmp_path / "ref")
+
+
 def test_read_missing_directory():
     with pytest.raises(IoFailure):
         read_episode("/nonexistent/episode")

@@ -65,7 +65,9 @@ def test_validate_holds_the_dataset_and_one_source(sources, capsys):
     peak = _peak(["validate", str(out)], capsys)
     assert "re-derived 40 sub-episodes from 4 sources" in capsys.readouterr().out
     largest = _payload_bytes(sources / "ep-0")
-    assert peak < _payload_bytes(out) + largest + 1.6 * _block(LENGTHS[0])
+    # 0.75 of a block: the gather's buffers fit, a second source held while the next is read
+    # does not
+    assert peak < _payload_bytes(out) + largest + 0.75 * _block(LENGTHS[0])
 
 
 def test_stats_holds_the_dataset_and_one_copy_of_the_observations(sources, capsys):
