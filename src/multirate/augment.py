@@ -212,5 +212,7 @@ def count_clamped(subs: Sequence[AlignedEpisode], ratio: int) -> int:
     # raw indices of the longest sub-episode, cut to each one's steps: no source length is needed
     lengths = np.array([sub.step_count for sub in subs])
     raw, _ = source_indices([sub.provenance.offset for sub in subs], ratio, lengths.max(), 1)
-    stored = np.concatenate([sub.source_index for sub in subs]).astype(np.int64)
-    return int(np.count_nonzero(stored != raw[np.arange(raw.shape[1]) < lengths[:, None]]))
+    raw = raw[np.arange(raw.shape[1]) < lengths[:, None]]
+    stored = np.concatenate([sub.source_index for sub in subs])
+    # compared as u64: a negative raw index is clamped whatever word is stored for it
+    return int(np.count_nonzero((raw < 0) | (stored != raw.astype(np.uint64))))

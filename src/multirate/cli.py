@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections import Counter
@@ -31,6 +30,7 @@ from .augment import (
 from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
     _as_directory,
+    _json_bytes,
     is_staging_name,
     load_manifest,
     read_dataset,
@@ -59,9 +59,7 @@ from .sim import (
 def _write_report(path: str | None, report: dict) -> None:
     if path:
         try:
-            Path(path).write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            Path(path).write_bytes(_json_bytes(report))
         except OSError as exc:
             raise IoFailure(f"cannot write report {path}: {exc}") from exc
 

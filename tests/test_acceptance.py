@@ -358,7 +358,12 @@ def _run_pipeline(root: Path) -> None:
 
 
 def test_c9_end_to_end_determinism(tmp_path, capsys):
-    """The same seeds yield byte-identical artifacts in two separate runs."""
+    """The same seeds yield byte-identical artifacts in two runs of the pipeline.
+
+    Both runs share this process, and so one hash seed. The flow run in
+    two interpreters under different hash seeds is checked by
+    tests/test_cli.py::test_readme_flow_is_byte_identical_in_two_interpreters.
+    """
     with _Timer() as t:
         roots = (tmp_path / "run_a", tmp_path / "run_b")
         for root in roots:

@@ -115,7 +115,9 @@ def test_simulate_divergence_exits_one_and_writes_nothing(tmp_path, capsys):
 
 
 def _tree(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    """Every path under `root`: a file's bytes, None for a directory, as `diff -r` compares them."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 def _simulate_sweep(config, out, count, base_seed):
@@ -124,14 +126,16 @@ def _simulate_sweep(config, out, count, base_seed):
 
 
 def test_simulate_chunks_match_one_batch(tmp_path, small_config, monkeypatch, capsys):
+    """Chunks of one seed are what runs of `--count 1`, one per seed, simulate."""
     out = tmp_path / "eps"
     assert _simulate_sweep(small_config, out, 5, 2) == 0
     whole, whole_out = _tree(out), capsys.readouterr().out
-    out.rename(tmp_path / "whole")
-    monkeypatch.setattr(cli, "_SIM_CHUNK", 2)
-    assert _simulate_sweep(small_config, out, 5, 2) == 0
-    assert capsys.readouterr().out == whole_out
-    assert _tree(out) == whole
+    for chunk in (2, 1):
+        out.rename(tmp_path / f"before-chunk-{chunk}")
+        monkeypatch.setattr(cli, "_SIM_CHUNK", chunk)
+        assert _simulate_sweep(small_config, out, 5, 2) == 0
+        assert capsys.readouterr().out == whole_out
+        assert _tree(out) == whole
     assert sorted(p.name for p in out.iterdir()) == [f"pick_sweep-0000{s}" for s in range(2, 7)]
 
 
@@ -359,19 +363,26 @@ def test_a_non_finite_step_value_fails_read_and_stats(tmp_path, capsys):
 
 
 def test_an_index_word_that_reads_as_nan_is_read_and_fails_the_source_rows(tmp_path, capsys):
+    """The second word, 2**64 - 4, is also raw index -4 wrapped to a u64: it stays clamped."""
     root, eps = _write_episode_tree(tmp_path)
-    out = tmp_path / "ds"
-    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
-    _restamp_word(out, "steps-00003.bin", 0, struct.pack("<Q", 0x7FF8000000000000))
-    rc, rows = _validate_rows(out, tmp_path)
-    assert rc == 1
-    assert rows[2] == ("read", "ok", "20 sub-episodes from 2 sources")
-    assert rows[5:] == [
-        ("re-derivation", "fail",
-         "MultirateError: source ep-0 offset -1: stored steps differ from re-derived steps"),
-        ("coverage", "fail",
-         "ProvenanceMismatch: source_index 9221120237041090560 outside episode of length 100"),
-    ]
+    for name, offset, word in [("steps-00003.bin", -1, 0x7FF8000000000000),
+                               ("steps-00000.bin", -4, 2**64 - 4)]:
+        out = tmp_path / f"ds{offset}"
+        assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+        _restamp_word(out, name, 0, struct.pack("<Q", word))
+        rc, rows = _validate_rows(out, tmp_path)
+        assert rc == 1
+        assert rows[2] == ("read", "ok", "20 sub-episodes from 2 sources")
+        assert rows[5:] == [
+            ("re-derivation", "fail",
+             f"MultirateError: source ep-0 offset {offset}: stored steps differ from re-derived steps"),
+            ("coverage", "fail",
+             f"ProvenanceMismatch: source_index {word} outside episode of length 100"),
+        ]
+        # frame 0 at offsets -4..-1 is clamped in each source, whatever word is stored for it
+        capsys.readouterr()
+        assert main(["stats", str(out)]) == 0
+        assert "\nclamped_steps: 8\n" in capsys.readouterr().out
 
 
 def test_validate_reads_only_source_episodes(tmp_path, monkeypatch, capsys):
@@ -958,21 +969,12 @@ def test_a_source_named_explicitly_is_read_whatever_its_name(tmp_path, capsys):
     assert rows["re-derivation"] == "re-derived 10 sub-episodes from 1 sources (1 sources not located)"
 
 
-def test_an_unreadable_payload_fails_each_command_without_a_traceback(
-    tmp_path, monkeypatch, capsys
-):
+def _check_unreadable_payloads(tmp_path, capsys, refuse):
+    """Each command fails with IoFailure, not a traceback, once `refuse(paths)` makes them unreadable."""
     root, eps = _write_episode_tree(tmp_path)
     out = tmp_path / "ds"
     assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
-    refused = {out / "steps-00003.bin", root / "ep-1" / "leader.f64"}
-    original = os.open
-
-    def refusing(path, flags, *args, **kwargs):
-        if Path(path) in refused:
-            raise PermissionError(errno.EACCES, "Permission denied", str(path))
-        return original(path, flags, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", refusing)
+    refuse({out / "steps-00003.bin", root / "ep-1" / "leader.f64"})
     capsys.readouterr()
     rc, rows = _validate_rows(out, tmp_path)
     assert rc == 1
@@ -987,6 +989,35 @@ def test_an_unreadable_payload_fails_each_command_without_a_traceback(
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: IoFailure: cannot read ") and "Permission denied" in err
+
+
+def test_an_unreadable_payload_fails_each_command_without_a_traceback(
+    tmp_path, monkeypatch, capsys
+):
+    def refuse(refused):
+        original = os.open
+
+        def refusing(path, flags, *args, **kwargs):
+            if Path(path) in refused:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return original(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+
+    _check_unreadable_payloads(tmp_path, capsys, refuse)
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="needs a user whom file permissions bind; root reads a mode-000 file")
+def test_a_payload_without_read_permission_fails_each_command_without_a_traceback(
+    tmp_path, capsys
+):
+    """The kernel's own EACCES, from `chmod 000`."""
+    def refuse(refused):
+        for path in refused:
+            path.chmod(0)
+
+    _check_unreadable_payloads(tmp_path, capsys, refuse)
 
 
 def test_validate_probes_for_manifests_only_under_directories(tmp_path, monkeypatch, capsys):
@@ -1098,15 +1129,20 @@ def test_simulate_starts_at_the_config_seed(tmp_path, small_config, capsys):
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
 
 
+def _command_env(**extra):
+    """The environment of a `python -m multirate` child that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": path, **extra}
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_a_closed_stdout_ends_the_command_quietly(tmp_path, unbuffered):
     """Unbuffered, a print meets the closed pipe; buffered, the flush at the end does."""
     root, eps = _write_episode_tree(tmp_path)
     assert main(["augment", str(root), "--method", "dabi", "--out", str(tmp_path / "ds")]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=path, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    env = _command_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     read_end, write_end = os.pipe()
     proc = subprocess.Popen(
         [sys.executable, "-m", "multirate", "stats", str(tmp_path / "ds")],
@@ -1117,6 +1153,43 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path, unbuffered):
     os.close(read_end)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err.decode()) == (1, "")
+
+
+def test_readme_flow_is_byte_identical_in_two_interpreters(tmp_path):
+    """The README flow as commands, run under two hash seeds: the same artifacts and reports.
+
+    The hash seeds are ones under which a set of the two episode ids
+    iterates in different orders, so output built from one shows here.
+    """
+    def multirate(*args, hash_seed="1"):
+        done = subprocess.run([sys.executable, "-m", "multirate", *map(str, args)],
+                              capture_output=True, text=True, timeout=120,
+                              env=_command_env(PYTHONHASHSEED=hash_seed))
+        assert done.returncode == 0, done.stderr
+
+    for hash_seed in ("1", "3"):
+        flow = tmp_path / f"flow-{hash_seed}"
+        reports = flow / "reports"
+        reports.mkdir(parents=True)
+        for args in (
+            ["simulate", "--trajectory", "pick_sweep", "--out", flow / "demos", "--count", "2"],
+            ["augment", flow / "demos", "--method", "dabi", "--out", flow / "demos_dabi"],
+            ["validate", flow / "demos_dabi"],
+            ["stats", flow / "demos_dabi"],
+        ):
+            multirate(*args, "--report", reports / f"{args[0]}.json", hash_seed=hash_seed)
+    assert _tree(tmp_path / "flow-1") == _tree(tmp_path / "flow-3")
+
+    flow = tmp_path / "flow-1"
+    ds, validated = flow / "demos_dabi", (flow / "reports" / "validate.json").read_bytes()
+    # a manifest path stands for its directory
+    multirate("validate", ds / "manifest.json", "--report", tmp_path / "by-manifest.json")
+    assert (tmp_path / "by-manifest.json").read_bytes() == validated
+    # an overwrite publishes the same dataset again and leaves no aside copy
+    multirate("augment", flow / "demos", "--method", "dabi", "--out", ds, "--force")
+    multirate("validate", ds, "--report", tmp_path / "after-force.json")
+    assert (tmp_path / "after-force.json").read_bytes() == validated
+    assert not (flow / "demos_dabi.old.tmp").exists()
 
 
 def test_files_a_dataset_manifest_does_not_declare_are_ignored(tmp_path, capsys):

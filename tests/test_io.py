@@ -182,19 +182,22 @@ def test_a_directory_in_a_payloads_place_is_missing(tmp_path, episode):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
 def test_a_fifo_in_a_payloads_place_is_missing_without_blocking(tmp_path, episode):
     """Run in a child with a timeout: a reader that waits on the FIFO fails, not hangs."""
-    d = write_episode(episode, tmp_path / "ep").parent
-    (d / "frames_a.bin").unlink()
-    os.mkfifo(d / "frames_a.bin")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "multirate", "validate", str(d)],
-        capture_output=True, text=True, env=env, timeout=20,
-    )
-    assert done.returncode == 1, done.stderr
-    row = "FAIL checksums: ValidationFailure: ep: declared file frames_a.bin is missing"
-    assert row in done.stdout
-    assert "Traceback" not in done.stderr
+    for d, name in [
+        (write_episode(episode, tmp_path / "ep").parent, "frames_a.bin"),
+        (write_dataset(augment([episode], Method.DABI), tmp_path / "ds").parent, "steps-00003.bin"),
+    ]:
+        (d / name).unlink()
+        os.mkfifo(d / name)
+        done = subprocess.run(
+            [sys.executable, "-m", "multirate", "validate", str(d)],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert done.returncode == 1, done.stderr
+        row = f"FAIL checksums: ValidationFailure: {d.name}: declared file {name} is missing"
+        assert row in done.stdout
+        assert "Traceback" not in done.stderr
 
 
 def test_an_unreadable_payload_is_an_io_failure(tmp_path, episode, monkeypatch):
