@@ -593,14 +593,20 @@ def test_dataset_stats_match_the_per_sub_episode_loop(method):
     assert repr(cli._channel_summary(leader)) == repr(_reference_channel_summary(leader))
 
 
-def test_stats_of_mixed_joint_counts_is_a_validation_failure(tmp_path, capsys):
-    """A manifest edit that keeps every payload's size and crc32 gives entry 3 one joint."""
+def _seven_frame_dataset(tmp_path):
+    """A dabi dataset of 2 sources of 7 frames and 2 joints: 20 payloads of 7 rows of 104 bytes."""
     root = tmp_path / "episodes"
     for i in range(2):  # 7 steps of 2 joints are 728 bytes, as are 13 steps of 1 joint
         ep = make_episode(t_len=70, joints=2, ratio=10, frame_count=7, episode_id=f"ep-{i}", seed=i)
         write_episode(ep, root / ep.episode_id)
     out = tmp_path / "ds"
     assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    return out
+
+
+def test_stats_of_mixed_joint_counts_is_a_validation_failure(tmp_path, capsys):
+    """A manifest edit that keeps every payload's size and crc32 gives entry 3 one joint."""
+    out = _seven_frame_dataset(tmp_path)
     _rewrite_manifest(out, lambda raw: raw["episodes"][3].update(joints=1, step_count=13))
     capsys.readouterr()
     assert main(["stats", str(out)]) == 1
@@ -612,6 +618,69 @@ def test_stats_of_mixed_joint_counts_is_a_validation_failure(tmp_path, capsys):
     rc, rows = _validate_rows(out, tmp_path)
     assert rc == 1
     assert rows[2:] == [("read", "fail", err[len("error: "):].rstrip("\n"))]
+
+
+def _flip_byte(out, name):
+    """Flip a bit of one payload, leaving its stamps; the crc32 message it will give, as a template."""
+    data = bytearray((out / name).read_bytes())
+    data[20] ^= 0x01
+    (out / name).write_bytes(bytes(data))
+    declared = json.loads((out / "manifest.json").read_text())["files"][name]["crc32"]
+    crc = f"{zlib.crc32(bytes(data)) & 0xFFFFFFFF:08x}"
+    return f"ChecksumMismatch: {{ds}}/{name}: crc32 {crc} != declared {declared}"
+
+
+def _nan_in_entry_5_and_one_joint_in_entry_3(out):
+    _rewrite_manifest(out, lambda raw: raw["episodes"][3].update(joints=1, step_count=13))
+    _restamp_word(out, "steps-00005.bin", 8, struct.pack("<d", np.nan))
+    return "read", "ValidationFailure: step vectors contain non-finite values"
+
+
+def _flipped_payload_and_edited_step_count(out):
+    message = _flip_byte(out, "steps-00007.bin")
+    _rewrite_manifest(out, lambda raw: raw["episodes"][2].update(step_count=6))
+    return "checksums", message
+
+
+def _damaged_payload_after_a_missing_one(out):
+    _flip_byte(out, "steps-00009.bin")
+    (out / "steps-00002.bin").unlink()
+    return "checksums", "ValidationFailure: {ds}: declared file steps-00002.bin is missing"
+
+
+def _unreferenced_payload_with_a_wrong_crc(out):
+    (out / "zz-extra.bin").write_bytes(b"extra")
+
+    def edit(raw):
+        raw["files"]["zz-extra.bin"] = {"bytes": 5, "crc32": "00000000"}
+        raw["episodes"][0]["step_count"] = 8
+
+    _rewrite_manifest(out, edit)
+    crc = f"{zlib.crc32(b'extra') & 0xFFFFFFFF:08x}"
+    return "checksums", f"ChecksumMismatch: {{ds}}/zz-extra.bin: crc32 {crc} != declared 00000000"
+
+
+@pytest.mark.parametrize("damage", [
+    _nan_in_entry_5_and_one_joint_in_entry_3,
+    _flipped_payload_and_edited_step_count,
+    _damaged_payload_after_a_missing_one,
+    _unreferenced_payload_with_a_wrong_crc,
+])
+def test_the_first_failure_by_precedence_is_the_one_reported(tmp_path, capsys, damage):
+    """A declared file's defect (first by name) before the manifest's, an entry's before the
+    dataset's; validate prints no row after the failed one, stats its message alone."""
+    out = _seven_frame_dataset(tmp_path)
+    row, message = damage(out)
+    rc, rows = _validate_rows(out, tmp_path)
+    assert rc == 1
+    tail = [("checksums", "fail", message.format(ds="ds"))] if row == "checksums" else [
+        ("checksums", "ok", f"{len(json.loads((out / 'manifest.json').read_text())['files'])} files"),
+        ("read", "fail", message.format(ds="ds")),
+    ]
+    assert rows == [("manifest-parse", "ok", "kind=dataset method=dabi"), *tail]
+    capsys.readouterr()
+    assert main(["stats", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(ds=out)}\n")
 
 
 def test_stats_episode(tmp_path, capsys):
