@@ -168,25 +168,32 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
     """Tally which high-rate samples of `episode` the dataset references.
 
     Raises ProvenanceMismatch when the dataset does not actually derive
-    from the episode: id absent from the manifest, ratio disagreement, or
-    sub-episode offsets/step counts inconsistent with the declared method.
+    from the episode: id absent from the manifest, or as source_coverage.
     """
     if episode.episode_id not in dataset.manifest.source_episode_ids:
         raise ProvenanceMismatch(
             f"episode {episode.episode_id!r} is not a source of this dataset"
         )
+    return source_coverage(dataset.manifest, dataset.by_source[episode.episode_id], episode)
+
+
+def source_coverage(
+    manifest: DatasetManifest, subs: Sequence[AlignedEpisode], episode: Episode
+) -> CoverageReport:
+    """evenness_report over one source's sub-episodes `subs`, in stored order.
+
+    Raises ProvenanceMismatch on a ratio disagreement, or sub-episode
+    offsets/step counts inconsistent with the declared method.
+    """
     ratio = episode.ratio
-    if dataset.manifest.ratio != ratio:
-        raise ProvenanceMismatch(
-            f"dataset ratio {dataset.manifest.ratio} != episode ratio {ratio}"
-        )
-    subs = dataset.by_source[episode.episode_id]
-    expected = make_offsets(dataset.manifest.method, ratio)
+    if manifest.ratio != ratio:
+        raise ProvenanceMismatch(f"dataset ratio {manifest.ratio} != episode ratio {ratio}")
+    expected = make_offsets(manifest.method, ratio)
     got = tuple(ep.provenance.offset for ep in subs)
     if tuple(sorted(got)) != expected:
         raise ProvenanceMismatch(
             f"sub-episode offsets {sorted(got)} do not match method "
-            f"{dataset.manifest.method.value} at ratio {ratio} (expected {list(expected)})"
+            f"{manifest.method.value} at ratio {ratio} (expected {list(expected)})"
         )
     t_len = episode.sample_count
     for sub in subs:

@@ -23,17 +23,17 @@ from .augment import (
     augment,
     check_batch,
     count_clamped,
-    evenness_report,
     iter_steps,
+    source_coverage,
     source_indices,
 )
 from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
+    DatasetReader,
     _as_directory,
     _json_bytes,
     is_staging_name,
     load_manifest,
-    read_dataset,
     read_episode,
     verify_checksums,
     write_dataset,
@@ -41,7 +41,8 @@ from .io import (
 )
 from .model import (
     CHANNELS_PER_JOINT,
-    AugmentedDataset,
+    AlignedEpisode,
+    DatasetManifest,
     Episode,
     Method,
     make_offsets,
@@ -144,7 +145,14 @@ def _collect_episode_dirs(inputs: list[str]) -> list[tuple[Path, dict | None]]:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     method = Method.from_name(args.method)
-    episodes = [read_episode(d, manifest=man) for d, man in _collect_episode_dirs(args.inputs)]
+    dirs = _collect_episode_dirs(args.inputs)
+    if args.force:
+        # an overwrite deletes the directory at --out first, so it must hold no input
+        out = Path(args.out).resolve()
+        for d, _ in dirs:
+            if out in (d.resolve(), *d.resolve().parents):
+                raise MultirateError(f"--out {args.out} would overwrite input episode {d}")
+    episodes = [read_episode(d, manifest=man) for d, man in dirs]
     manifest = check_batch(episodes, method)
     # the batch is checked whole, then augmented one source at a time as it is
     # written, so one source's sub-episodes are held, never the whole dataset
@@ -249,27 +257,51 @@ class _Checks:
 
 
 def _validate_dataset(
-    dataset_dir: Path,
-    manifest: dict,
-    payloads: dict[str, bytes],
-    args: argparse.Namespace,
-    checks: _Checks,
+    dataset_dir: Path, manifest: dict, args: argparse.Namespace, checks: _Checks
 ) -> None:
-    ds = checks.run(
-        "read",
-        lambda: read_dataset(dataset_dir, manifest=manifest, payloads=payloads),
-        detail=lambda ds: (
-            f"{ds.episode_count} sub-episodes from "
-            f"{len(ds.manifest.source_episode_ids)} sources"
-        ),
-    )
-    if ds is None:
+    reader = DatasetReader(dataset_dir, manifest=manifest)
+    candidates = None
+    offsets: dict[str, list[int]] = {}  # each source's, sorted
+    failed: dict[str, str] = {}  # each source row's first failure, in source order
+    located = rederived = 0
+    try:
+        # each source is checked by both source rows as it is read, and dropped before the
+        # next; the rows catch their own errors, so an error here is the reader's
+        for eid, part in reader:
+            subs = tuple(part.values())
+            offsets[eid] = sorted(sub.provenance.offset for sub in subs)
+            if candidates is None:
+                ids = reader.manifest.source_episode_ids
+                candidates = _source_candidates(dataset_dir, args.sources, ids)
+            ep = _read_first(candidates.get(eid, []))
+            if ep is not None:
+                located += 1
+                rederived += len(subs)
+                for name, check in (("re-derivation", _rederive), ("coverage", _coverage)):
+                    if name not in failed:
+                        try:
+                            check(ep, subs, reader.manifest)
+                        except MultirateError as exc:
+                            failed[name] = f"{type(exc).__name__}: {exc}"
+            del ep, part, subs
+    except MultirateError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        if reader.bad_file:
+            checks.add("checksums", "fail", error)
+        else:
+            checks.add("checksums", "ok", f"{len(manifest['files'])} files")
+            checks.add("read", "fail", error)
         return
-    expected_offsets = make_offsets(ds.manifest.method, ds.manifest.ratio)
+    checks.add("checksums", "ok", f"{len(manifest['files'])} files")
+    ds = reader.manifest
+    checks.add(
+        "read", "ok",
+        f"{len(reader.entries)} sub-episodes from {len(ds.source_episode_ids)} sources",
+    )
+    expected_offsets = make_offsets(ds.method, ds.ratio)
 
     def _offsets() -> str:
-        for src, subs in ds.by_source.items():
-            got = sorted(sub.provenance.offset for sub in subs)
+        for src, got in offsets.items():
             if tuple(got) != expected_offsets:
                 raise MultirateError(
                     f"source {src}: offsets {got} != expected {list(expected_offsets)}"
@@ -279,35 +311,18 @@ def _validate_dataset(
     checks.run("offset-window", _offsets)
 
     def _ordering() -> str:
-        got = [(sub.provenance.source_episode_id, sub.provenance.offset) for sub in ds.episodes]
-        if got != [(src, off) for src in ds.by_source for off in expected_offsets]:
+        got = [(src, off) for src, off, _ in reader.entries]
+        if got != [(src, off) for src in ds.source_episode_ids for off in expected_offsets]:
             raise MultirateError("sub-episodes are not source-major, offset-ascending")
         return "source-major, offsets ascending"
 
     checks.run("ordering", _ordering)
 
-    # sources are read one at a time, each checked by both rows and dropped before the next
-    candidates = _source_candidates(dataset_dir, args.sources, ds.manifest.source_episode_ids)
-    failed: dict[str, str] = {}  # each row's first failure, in source order
-    located = rederived = 0
-    for eid, subs in ds.by_source.items():
-        ep = _read_first(candidates.get(eid, []))
-        if ep is None:
-            continue
-        located += 1
-        rederived += len(subs)
-        for name, check in (("re-derivation", _rederive), ("coverage", _coverage)):
-            if name not in failed:
-                try:
-                    check(ep, ds)
-                except MultirateError as exc:
-                    failed[name] = f"{type(exc).__name__}: {exc}"
-        del ep
     if not located:
         checks.add("re-derivation", "skip", "no source episodes located")
         checks.add("coverage", "skip", "no source episodes located")
         return
-    missing = len(ds.by_source) - located
+    missing = len(offsets) - located
     note = f"re-derived {rederived} sub-episodes from {located} sources"
     if missing:
         note += f" ({missing} sources not located)"
@@ -316,8 +331,7 @@ def _validate_dataset(
         checks.add(name, "fail" if name in failed else "ok", failed.get(name, notes[name]))
 
 
-def _rederive(ep: Episode, ds: AugmentedDataset) -> None:
-    subs = ds.by_source[ep.episode_id]
+def _rederive(ep: Episode, subs: tuple[AlignedEpisode, ...], manifest: DatasetManifest) -> None:
     for sub, rows in zip(subs, iter_steps(ep, [sub.provenance.offset for sub in subs])):
         # what AlignedEpisode.__eq__ compares; provenance matches by construction.  Rows
         # are compared as bytes: gathered steps are copies of source bytes, so a stored
@@ -330,10 +344,10 @@ def _rederive(ep: Episode, ds: AugmentedDataset) -> None:
             )
 
 
-def _coverage(ep: Episode, ds: AugmentedDataset) -> None:
-    rep = evenness_report(ds, ep)
-    offsets = make_offsets(ds.manifest.method, ds.manifest.ratio)
-    raw, clipped = source_indices(offsets, ds.manifest.ratio, ep.frame_count, ep.sample_count)
+def _coverage(ep: Episode, subs: tuple[AlignedEpisode, ...], manifest: DatasetManifest) -> None:
+    rep = source_coverage(manifest, subs, ep)
+    offsets = make_offsets(manifest.method, manifest.ratio)
+    raw, clipped = source_indices(offsets, manifest.ratio, ep.frame_count, ep.sample_count)
     want = np.bincount(clipped.ravel(), minlength=ep.sample_count)
     if not np.array_equal(rep.counts, want) or rep.clamped_steps != (raw != clipped).sum():
         raise MultirateError(f"source {ep.episode_id}: coverage counts mismatch")
@@ -354,20 +368,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if manifest is None:
         _write_report(args.report, {"command": "validate", "checks": checks.rows})
         return 1
-    payloads = checks.run(
-        "checksums", lambda: verify_checksums(target, manifest), detail=lambda p: f"{len(p)} files"
-    )
-    if payloads is not None and manifest["kind"] == "dataset":
-        _validate_dataset(target, manifest, payloads, args, checks)
-    elif payloads is not None:
-        checks.run(
-            "stream-invariants",
-            lambda: read_episode(target, manifest=manifest, payloads=payloads),
-            detail=lambda ep: (
-                f"samples={ep.sample_count} frames={ep.frame_count} ratio={ep.ratio} "
-                f"joints={ep.joints}"
-            ),
+    if manifest["kind"] == "dataset":
+        _validate_dataset(target, manifest, args, checks)
+    else:
+        payloads = checks.run(
+            "checksums", lambda: verify_checksums(target, manifest),
+            detail=lambda p: f"{len(p)} files",
         )
+        if payloads is not None:
+            checks.run(
+                "stream-invariants",
+                lambda: read_episode(target, manifest=manifest, payloads=payloads),
+                detail=lambda ep: (
+                    f"samples={ep.sample_count} frames={ep.frame_count} ratio={ep.ratio} "
+                    f"joints={ep.joints}"
+                ),
+            )
     _write_report(args.report, {"command": "validate", "checks": checks.rows})
     if checks.failed:
         print(f"{checks.failed} check(s) failed")
@@ -396,23 +412,38 @@ def _channel_summary(data: np.ndarray) -> dict:
     return _column_summary(np.ascontiguousarray(data.reshape(len(data), -1).T))
 
 
-def _dataset_stats(ds: AugmentedDataset) -> dict:
-    joints = ds.episodes[0].joints
-    clamped = count_clamped(ds.episodes, ds.manifest.ratio)
-    # one copy of the observations, filled straight from each sub-episode's rows
-    columns = np.empty((joints * CHANNELS_PER_JOINT, sum(sub.step_count for sub in ds.episodes)))
-    np.concatenate([sub.observation.T for sub in ds.episodes], axis=1, out=columns)
+def _dataset_stats(reader: DatasetReader) -> dict:
+    groups = iter(reader)
+    columns, clamped = None, 0
+    for _, part in groups:
+        if columns is None:  # a source is handed over only while the declared counts are sound
+            starts = np.cumsum((0, *reader.step_counts))
+            try:
+                columns = np.empty((reader.entries[0][2] * CHANNELS_PER_JOINT, starts[-1]))
+            except MemoryError:
+                # more steps declared than memory holds: the rest of the pass says
+                # whether the manifest declares steps its files do not hold
+                for _ in groups:
+                    pass
+                raise
+        # each payload goes into its place among the observation columns as it arrives
+        for i in part:
+            columns[:, starts[i] : starts[i + 1]] = part[i].observation.T
+        if part:
+            clamped += count_clamped(tuple(part.values()), reader.manifest.ratio)
+        del part
+    ds = reader.manifest
     return {
         "command": "stats",
         "kind": "dataset",
-        "method": ds.manifest.method.value,
-        "ratio": ds.manifest.ratio,
-        "sources": len(ds.manifest.source_episode_ids),
-        "sub_episodes": ds.episode_count,
+        "method": ds.method.value,
+        "ratio": ds.ratio,
+        "sources": len(ds.source_episode_ids),
+        "sub_episodes": len(reader.entries),
         "steps": columns.shape[1],
-        "joints": joints,
+        "joints": reader.entries[0][2],
         "clamped_steps": clamped,
-        "offsets": dict(Counter(str(sub.provenance.offset) for sub in ds.episodes)),
+        "offsets": dict(Counter(str(off) for _, off, _ in reader.entries)),
         "observed": _column_summary(columns),
     }
 
@@ -462,7 +493,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     target = Path(args.dir)
     manifest = load_manifest(target)
     if manifest["kind"] == "dataset":
-        stats = _dataset_stats(read_dataset(target, manifest=manifest))
+        stats = _dataset_stats(DatasetReader(target, manifest=manifest))
     else:
         stats = _episode_stats(read_episode(target, manifest=manifest))
     _print_stats(stats)

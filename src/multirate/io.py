@@ -16,7 +16,7 @@ import os
 import shutil
 import stat
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     ChecksumMismatch,
     IoFailure,
+    MultirateError,
     ParseFailure,
     ValidationFailure,
 )
@@ -40,6 +41,7 @@ from .model import (
     Provenance,
     RobotStream,
     is_plain_name,
+    source_groups,
     step_dtype,
 )
 
@@ -193,35 +195,40 @@ def _read_payload(directory: Path, name: str) -> bytes:
     raise ValidationFailure(f"{directory}: declared file {name} is missing")
 
 
+def _files_table(directory: Path, manifest: dict) -> dict:
+    files = manifest.get("files")
+    if not isinstance(files, dict):
+        raise ParseFailure(f"{directory}/manifest.json: missing files table")
+    return files
+
+
+def _verified(directory: Path, files: dict, name: str) -> bytes:
+    """The bytes of declared payload `name`, once its name, stamp, size and crc32 pass."""
+    if not is_plain_name(name):
+        raise ParseFailure(f"{directory}/manifest.json: file name {name!r} is not plain")
+    stamp = files[name]
+    if not isinstance(stamp, dict):
+        raise ParseFailure(f"{directory}/manifest.json: files entry {name!r} is not an object")
+    data = _read_payload(directory, name)
+    if len(data) != stamp.get("bytes"):
+        raise ChecksumMismatch(
+            f"{directory / name}: size {len(data)} != declared {stamp.get('bytes')}"
+        )
+    crc = _crc(data)
+    if crc != stamp.get("crc32"):
+        raise ChecksumMismatch(f"{directory / name}: crc32 {crc} != declared {stamp.get('crc32')}")
+    return data
+
+
 def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
-    """Check every payload file the manifest declares; raise on any defect.
+    """Check every payload file the manifest declares, by name; raise on the first defect.
 
     Returns the verified bytes by file name, so that callers parse exactly
     the bytes whose checksums matched.
     """
     directory = Path(directory)
-    files = manifest.get("files")
-    if not isinstance(files, dict):
-        raise ParseFailure(f"{directory}/manifest.json: missing files table")
-    payloads = {}
-    for name in sorted(files):
-        if not is_plain_name(name):
-            raise ParseFailure(f"{directory}/manifest.json: file name {name!r} is not plain")
-        stamp = files[name]
-        if not isinstance(stamp, dict):
-            raise ParseFailure(f"{directory}/manifest.json: files entry {name!r} is not an object")
-        data = _read_payload(directory, name)
-        if len(data) != stamp.get("bytes"):
-            raise ChecksumMismatch(
-                f"{directory / name}: size {len(data)} != declared {stamp.get('bytes')}"
-            )
-        crc = _crc(data)
-        if crc != stamp.get("crc32"):
-            raise ChecksumMismatch(
-                f"{directory / name}: crc32 {crc} != declared {stamp.get('crc32')}"
-            )
-        payloads[name] = data
-    return payloads
+    files = _files_table(directory, manifest)
+    return {name: _verified(directory, files, name) for name in sorted(files)}
 
 
 def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> bytes:
@@ -257,20 +264,13 @@ def _write_artifact(
     return _publish_dir(Path(out_dir), files(), overwrite) / "manifest.json"
 
 
-def _open_artifact(
-    path: str | Path, kind: str, manifest: dict | None, payloads: dict[str, bytes] | None
-) -> tuple[Path, dict, dict[str, bytes]]:
-    """The directory, manifest and verified payloads of one artifact of `kind`.
-
-    A manifest or payloads the caller already holds are used as given.
-    """
+def _open_manifest(path: str | Path, kind: str, manifest: dict | None) -> tuple[Path, dict]:
+    """The directory and manifest of one artifact of `kind`; a manifest the caller holds is used."""
     directory = _as_directory(path)
     raw = load_manifest(directory) if manifest is None else manifest
     if raw["kind"] != kind:
         raise ParseFailure(f"{directory}: expected kind {kind!r}, found {raw['kind']!r}")
-    if payloads is None:
-        payloads = verify_checksums(directory, raw)
-    return directory, raw, payloads
+    return directory, raw
 
 
 def _robot_payload(stream: RobotStream) -> np.ndarray:
@@ -363,7 +363,9 @@ def read_episode(
     already holds the parsed manifest, and the payloads verify_checksums
     returned for it, passes them in; nothing is then read or hashed again.
     """
-    in_dir, raw, payloads = _open_artifact(in_dir, "episode", manifest, payloads)
+    in_dir, raw = _open_manifest(in_dir, "episode", manifest)
+    if payloads is None:
+        payloads = verify_checksums(in_dir, raw)
     try:
         episode_id = str(raw["episode_id"])
         robot_rate_hz = int(raw["robot_rate_hz"])
@@ -391,17 +393,36 @@ def read_episode(
     )
 
 
-def _parse_steps(
-    payloads: dict[str, bytes], directory: Path, name: str, step_count: int, joints: int
-) -> np.ndarray:
-    data = _payload(payloads, directory, name)
-    dtype = step_dtype(joints)
-    if len(data) != step_count * dtype.itemsize:
-        raise ValidationFailure(
-            f"{directory / name}: {len(data)} bytes, manifest implies "
-            f"{step_count * dtype.itemsize} ({step_count} steps of {dtype.itemsize} bytes)"
+def _parse_entry(
+    directory: Path, files: dict, entry: object, payload: Callable[[str], bytes | None]
+) -> AlignedEpisode | None:
+    """The sub-episode of one `episodes` entry, over the bytes `payload` gives for its file.
+
+    None when `payload` gives none: the file failed its checks, which is reported instead.
+    """
+    try:
+        # only declared names, all plain, are read: path-like names fail here
+        name = str(entry["file"])
+        step_count, joints = int(entry["step_count"]), int(entry["joints"])
+        if name not in files:
+            raise ParseFailure(f"{directory}/manifest.json: {name} is not declared in files")
+        data = payload(name)
+        if data is None:
+            return None
+        dtype = step_dtype(joints)
+        if len(data) != step_count * dtype.itemsize:
+            raise ValidationFailure(
+                f"{directory / name}: {len(data)} bytes, manifest implies "
+                f"{step_count * dtype.itemsize} ({step_count} steps of {dtype.itemsize} bytes)"
+            )
+        rows = np.frombuffer(data, dtype=dtype)
+        cameras = tuple(str(c) for c in entry["cameras"])
+        prov = Provenance(
+            source_episode_id=str(entry["source_episode_id"]), offset=int(entry["offset"])
         )
-    return np.frombuffer(data, dtype=dtype)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseFailure(f"{directory}/manifest.json: bad episode entry: {exc!r}") from exc
+    return AlignedEpisode(rows=rows, cameras=cameras, provenance=prov)
 
 
 def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: bool = False) -> Path:
@@ -439,44 +460,110 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
     return _write_artifact("dataset", fields, payloads(), out_dir, overwrite)
 
 
-def read_dataset(
-    in_dir: str | Path,
-    *,
-    manifest: dict | None = None,
-    payloads: dict[str, bytes] | None = None,
-) -> AugmentedDataset:
+class DatasetReader:
+    """A dataset directory read one source at a time.
+
+    Iterating reads, checks (size, crc32) and parses each declared payload
+    once.  It yields, for each source in `source_episode_ids` order, the
+    source id and its sub-episodes in stored order, keyed by their place among
+    the manifest's `episodes`.  The reader keeps no source once it is
+    yielded, so a caller that drops each source before asking for the next
+    holds one.
+
+    Every declared file is checked whatever fails; the pass then raises the
+    error that reading the whole dataset raises.  In order of precedence: the
+    first failing declared file by name, the manifest's fields, the first
+    failing entry in manifest order, then the dataset's own rules (entry
+    count, unknown source, joint count).  Nothing more is yielded once the
+    pass is sure to fail, so every source handed over is well formed.
+
+    `manifest`, `entries` (each entry's source id, offset and joints) and
+    `step_counts` (each entry's), in manifest order, are set before the first
+    source is yielded, as the manifest declares them; a pass that ends without
+    raising confirms them.  After a pass that raised, `bad_file` tells a
+    declared file's defect from the manifest's.
+    """
+
+    def __init__(self, path: str | Path, *, manifest: dict | None = None) -> None:
+        self.directory, self._raw = _open_manifest(path, "dataset", manifest)
+        self.manifest: DatasetManifest | None = None
+        self.entries: tuple[tuple[str, int, int], ...] = ()
+        self.step_counts: tuple[int, ...] = ()
+        self.bad_file = False
+
+    def __iter__(self) -> Iterator[tuple[str, dict[int, AlignedEpisode]]]:
+        directory, raw = self.directory, self._raw
+        try:
+            files = _files_table(directory, raw)
+        except MultirateError:
+            self.bad_file = True
+            raise
+        failures: dict[tuple, MultirateError] = {}  # by precedence: (1, name), (2,), (3, i), (4,)
+        checked = set()
+
+        def payload(name: str) -> bytes | None:
+            checked.add(name)
+            try:
+                return _verified(directory, files, name)
+            except MultirateError as exc:
+                failures.setdefault((1, name), exc)
+                return None
+
+        try:
+            method = Method.from_name(str(raw["method"]))
+            ratio = int(raw["ratio"])
+            source_ids = tuple(str(s) for s in raw["source_episode_ids"])
+            entries = list(raw["episodes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            failures[(2,)] = ParseFailure(f"{directory}/manifest.json: {exc!r}")
+            entries = []
+        except MultirateError as exc:
+            failures[(2,)] = exc
+            entries = []
+        groups = None
+        if not failures:
+            try:
+                # the dataset's rules, applied to what the manifest declares: a pass that
+                # breaks them, or declares an empty entry, fails by them or by an entry
+                self.entries = tuple(
+                    (str(e["source_episode_id"]), int(e["offset"]), int(e["joints"]))
+                    for e in entries
+                )
+                self.step_counts = tuple(int(e["step_count"]) for e in entries)
+                self.manifest = DatasetManifest(method, ratio, source_ids)
+                groups = source_groups(self.manifest, self.entries)
+            except MultirateError as exc:
+                failures[(4,)] = exc
+            except (KeyError, TypeError, ValueError):
+                pass  # an entry fails to parse: the pass names which
+        clean = groups is not None and min(self.step_counts, default=1) >= 1
+        for source, places in groups.items() if clean else [("", range(len(entries)))]:
+            part = {}
+            for i in places:
+                try:
+                    part[i] = _parse_entry(directory, files, entries[i], payload)
+                except MultirateError as exc:
+                    failures[(3, i)] = exc
+                if failures:  # the pass fails: nothing more is kept
+                    clean, part = False, {}
+            if clean:
+                yield source, part
+        for name in sorted(files.keys() - checked):
+            payload(name)
+        if failures:
+            first = min(failures)
+            self.bad_file = first[0] == 1
+            raise failures[first]
+
+
+def read_dataset(in_dir: str | Path, *, manifest: dict | None = None) -> AugmentedDataset:
     """Load a dataset directory, verifying checksums, counts, and invariants.
 
-    Accepts either the directory or its manifest.json path.  manifest and
-    payloads work as in read_episode.
+    Accepts either the directory or its manifest.json path, and the parsed
+    manifest when the caller already holds it.  Fails as DatasetReader does.
     """
-    in_dir, raw, payloads = _open_artifact(in_dir, "dataset", manifest, payloads)
-    try:
-        method = Method.from_name(str(raw["method"]))
-        ratio = int(raw["ratio"])
-        source_ids = tuple(str(s) for s in raw["source_episode_ids"])
-        entries = list(raw["episodes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"{in_dir}/manifest.json: {exc!r}") from exc
-    subs = []
-    for entry in entries:
-        try:
-            # only declared names, all plain, are read: path-like names fail here
-            rows = _parse_steps(
-                payloads,
-                in_dir,
-                str(entry["file"]),
-                int(entry["step_count"]),
-                int(entry["joints"]),
-            )
-            cameras = tuple(str(c) for c in entry["cameras"])
-            prov = Provenance(
-                source_episode_id=str(entry["source_episode_id"]), offset=int(entry["offset"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"{in_dir}/manifest.json: bad episode entry: {exc!r}") from exc
-        subs.append(AlignedEpisode(rows=rows, cameras=cameras, provenance=prov))
-    return AugmentedDataset(
-        episodes=tuple(subs),
-        manifest=DatasetManifest(method=method, ratio=ratio, source_episode_ids=source_ids),
-    )
+    reader = DatasetReader(in_dir, manifest=manifest)
+    subs = {}
+    for _, part in reader:
+        subs.update(part)
+    return AugmentedDataset(episodes=[subs[i] for i in sorted(subs)], manifest=reader.manifest)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import struct
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any
@@ -454,6 +454,37 @@ class DatasetManifest:
             raise ValidationFailure("source episode ids must be unique")
 
 
+def source_groups(
+    manifest: DatasetManifest, entries: Sequence[tuple[str, int, int]]
+) -> dict[str, list[int]]:
+    """The places of each manifest source's sub-episodes.
+
+    `entries` holds each sub-episode's (source id, offset, joints), in stored
+    order.  Sources come in manifest order, each with its places in stored
+    order (none for a source without sub-episodes).  Raises ValidationFailure
+    unless there is one sub-episode per source and offset of the method's
+    window, each of a manifest source and all with the first one's joint count.
+    """
+    per_source = len(make_offsets(manifest.method, manifest.ratio))
+    expected = per_source * len(manifest.source_episode_ids)
+    if len(entries) != expected:
+        raise ValidationFailure(
+            f"dataset holds {len(entries)} sub-episodes, expected {expected} "
+            f"({per_source} per source x {len(manifest.source_episode_ids)} sources)"
+        )
+    groups: dict[str, list[int]] = {s: [] for s in manifest.source_episode_ids}
+    for i, (src, offset, joints) in enumerate(entries):
+        if src not in groups:
+            raise ValidationFailure(f"sub-episode source {src!r} not in manifest")
+        if joints != entries[0][2]:
+            raise ValidationFailure(
+                f"source {src} offset {offset}: {joints} joints, "
+                f"but the first sub-episode has {entries[0][2]}"
+            )
+        groups[src].append(i)
+    return groups
+
+
 @dataclass(frozen=True, eq=False)
 class AugmentedDataset:
     """All aligned sub-episodes produced from one batch of source episodes.
@@ -472,25 +503,11 @@ class AugmentedDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "episodes", tuple(self.episodes))
-        per_source = len(make_offsets(self.manifest.method, self.manifest.ratio))
-        expected = per_source * len(self.manifest.source_episode_ids)
-        if len(self.episodes) != expected:
-            raise ValidationFailure(
-                f"dataset holds {len(self.episodes)} sub-episodes, expected {expected} "
-                f"({per_source} per source x {len(self.manifest.source_episode_ids)} sources)"
-            )
-        groups: dict[str, list[AlignedEpisode]] = {s: [] for s in self.manifest.source_episode_ids}
-        for ep in self.episodes:
-            src = ep.provenance.source_episode_id
-            if src not in groups:
-                raise ValidationFailure(f"sub-episode source {src!r} not in manifest")
-            if ep.joints != self.episodes[0].joints:
-                raise ValidationFailure(
-                    f"source {src} offset {ep.provenance.offset}: {ep.joints} joints, "
-                    f"but the first sub-episode has {self.episodes[0].joints}"
-                )
-            groups[src].append(ep)
-        object.__setattr__(self, "_by_source", {src: tuple(subs) for src, subs in groups.items()})
+        entries = [(ep.provenance.source_episode_id, ep.provenance.offset, ep.joints)
+                   for ep in self.episodes]
+        groups = source_groups(self.manifest, entries)
+        by_source = {src: tuple(self.episodes[i] for i in places) for src, places in groups.items()}
+        object.__setattr__(self, "_by_source", by_source)
 
     @property
     def by_source(self) -> Mapping[str, tuple[AlignedEpisode, ...]]:

@@ -580,14 +580,15 @@ def _reference_channel_summary(data):
 
 
 @pytest.mark.parametrize("method", list(Method))
-def test_dataset_stats_match_the_per_sub_episode_loop(method):
+def test_dataset_stats_match_the_per_sub_episode_loop(tmp_path, method):
     # sources of 30 and 21 frames, so sub-episodes differ in length
     eps = [
         make_episode(t_len=300, joints=3, ratio=10, frame_count=30, episode_id="long", seed=1),
         make_episode(t_len=205, joints=3, ratio=10, frame_count=21, episode_id="short", seed=2),
     ]
     ds = augment(eps, method)
-    got, want = cli._dataset_stats(ds), _reference_dataset_stats(ds)
+    reader = io.DatasetReader(write_dataset(ds, tmp_path / "ds"))
+    got, want = cli._dataset_stats(reader), _reference_dataset_stats(ds)
     assert got == want and repr(got) == repr(want)  # repr tells floats apart bit for bit
     leader = eps[0].leader.data * 1e6 + 1.0  # magnitudes where summation order shows
     assert repr(cli._channel_summary(leader)) == repr(_reference_channel_summary(leader))
@@ -621,7 +622,7 @@ def test_stats_of_mixed_joint_counts_is_a_validation_failure(tmp_path, capsys):
 
 
 def _flip_byte(out, name):
-    """Flip a bit of one payload, leaving its stamps; the crc32 message it will give, as a template."""
+    """Flip a bit of one payload, leaving its stamps; returns the crc32 message as a template."""
     data = bytearray((out / name).read_bytes())
     data[20] ^= 0x01
     (out / name).write_bytes(bytes(data))
@@ -660,11 +661,18 @@ def _unreferenced_payload_with_a_wrong_crc(out):
     return "checksums", f"ChecksumMismatch: {{ds}}/zz-extra.bin: crc32 {crc} != declared 00000000"
 
 
+def _late_entry_declaring_more_steps_than_memory_holds(out):
+    _rewrite_manifest(out, lambda raw: raw["episodes"][15].update(step_count=10**15))
+    return "read", (f"ValidationFailure: {{ds}}/steps-00015.bin: 728 bytes, manifest implies "
+                    f"{10**15 * 104} ({10**15} steps of 104 bytes)")
+
+
 @pytest.mark.parametrize("damage", [
     _nan_in_entry_5_and_one_joint_in_entry_3,
     _flipped_payload_and_edited_step_count,
     _damaged_payload_after_a_missing_one,
     _unreferenced_payload_with_a_wrong_crc,
+    _late_entry_declaring_more_steps_than_memory_holds,
 ])
 def test_the_first_failure_by_precedence_is_the_one_reported(tmp_path, capsys, damage):
     """A declared file's defect (first by name) before the manifest's, an entry's before the
@@ -673,8 +681,9 @@ def test_the_first_failure_by_precedence_is_the_one_reported(tmp_path, capsys, d
     row, message = damage(out)
     rc, rows = _validate_rows(out, tmp_path)
     assert rc == 1
+    files = len(json.loads((out / "manifest.json").read_text())["files"])
     tail = [("checksums", "fail", message.format(ds="ds"))] if row == "checksums" else [
-        ("checksums", "ok", f"{len(json.loads((out / 'manifest.json').read_text())['files'])} files"),
+        ("checksums", "ok", f"{files} files"),
         ("read", "fail", message.format(ds="ds")),
     ]
     assert rows == [("manifest-parse", "ok", "kind=dataset method=dabi"), *tail]
@@ -953,6 +962,44 @@ def test_simulate_config_that_is_not_utf8_is_a_parse_failure(tmp_path, capsys):
 
 def _tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("inputs, out", [
+    (["episodes"], "episodes"),  # the listed directory
+    (["episodes/ep-0", "episodes/ep-1"], "episodes/ep-0"),  # an episode named directly
+    (["episodes"], "episodes/ep-1"),  # an episode found by listing
+    (["episodes/ep-0", "episodes/ep-1"], "episodes/.."),  # a directory above the inputs
+])
+def test_augment_force_refuses_an_out_that_holds_an_input(tmp_path, monkeypatch, capsys,
+                                                          inputs, out):
+    _write_episode_tree(tmp_path)
+    before = _tree_bytes(tmp_path)
+    reads = []
+    original = io._read_payload
+
+    def counting(directory, name):
+        reads.append(name)
+        return original(directory, name)
+
+    monkeypatch.setattr(io, "_read_payload", counting)
+    rc = main(["augment", *(str(tmp_path / p) for p in inputs), "--method", "dabi",
+               "--out", str(tmp_path / out), "--force"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: MultirateError: --out {tmp_path / out} would "
+                                   "overwrite input episode ")
+    assert reads == [] and _tree_bytes(tmp_path) == before
+
+
+def test_augment_force_beside_the_episodes_overwrites_the_dataset(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    args = ["augment", str(root), "--method", "dabi", "--out", str(root / "ds"), "--force"]
+    assert main(args) == 0
+    assert main(args[:-1]) == 1  # now the dataset is there: only --force replaces it
+    assert main(args) == 0
+    assert read_dataset(root / "ds") == augment(eps, Method.DABI)
+    assert sorted(p.name for p in root.iterdir()) == ["ds", "ep-0", "ep-1"]
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -1,9 +1,10 @@
 """Peak traced memory of the CLI commands against what they must hold.
 
-augment holds its sources and one source's sub-episodes at a time, validate the
-dataset and one source at a time, stats the dataset and one copy of the
-observations.  The bounds leave room for np.take's buffer and small objects,
-but not for a second copy of the dataset or of the sources.
+augment holds its sources and one source's sub-episodes at a time; validate
+one source and its sub-episodes at a time; stats one copy of the observations
+and one source's sub-episodes at a time.  The bounds leave room for np.take's
+buffer and small objects, but not for the dataset, a second source or a second
+source's sub-episodes.
 """
 
 import json
@@ -59,21 +60,23 @@ def test_augment_holds_the_sources_and_one_source_block(sources, capsys):
     assert peak < held + 1.6 * _block(LENGTHS[0])
 
 
-def test_validate_holds_the_dataset_and_one_source(sources, capsys):
+def test_validate_holds_one_source_and_its_sub_episodes(sources, capsys):
     out = sources.parent / "ds-validate"
     assert main(["augment", str(sources), "--method", "dabi", "--out", str(out)]) == 0
     peak = _peak(["validate", str(out)], capsys)
     assert "re-derived 40 sub-episodes from 4 sources" in capsys.readouterr().out
     largest = _payload_bytes(sources / "ep-0")
-    # 0.75 of a block: the gather's buffers fit, a second source held while the next is read
-    # does not
-    assert peak < _payload_bytes(out) + largest + 0.75 * _block(LENGTHS[0])
+    # 0.75 of a block: the gather's and coverage's buffers fit (0.46 on CPython 3.11, numpy
+    # 2.4), the next source's sub-episodes read while this source's are held do not
+    assert peak < largest + 1.75 * _block(LENGTHS[0])
 
 
-def test_stats_holds_the_dataset_and_one_copy_of_the_observations(sources, capsys):
+def test_stats_holds_the_observations_and_one_source_block(sources, capsys):
     out = sources.parent / "ds-stats"
     assert main(["augment", str(sources), "--method", "dabi", "--out", str(out)]) == 0
     peak = _peak(["stats", str(out)], capsys)
     steps = sum(_block(t) for t in LENGTHS) // step_dtype(JOINTS).itemsize
     columns = steps * 3 * JOINTS * 8
-    assert peak < _payload_bytes(out) + 1.3 * columns
+    # 0.4 of a block: the clamp count's index arrays fit (0.20 on CPython 3.11, numpy 2.4),
+    # the next source's sub-episodes read while this source's are held do not
+    assert peak < columns + 1.4 * _block(LENGTHS[0])
