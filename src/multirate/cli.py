@@ -150,7 +150,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         # an overwrite deletes the directory at --out first, so it must hold no input
         out = Path(args.out).resolve()
         for d, _ in dirs:
-            if out in (d.resolve(), *d.resolve().parents):
+            if d.resolve().is_relative_to(out):
                 raise MultirateError(f"--out {args.out} would overwrite input episode {d}")
     episodes = [read_episode(d, manifest=man) for d, man in dirs]
     manifest = check_batch(episodes, method)
