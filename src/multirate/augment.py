@@ -94,7 +94,9 @@ def check_batch(episodes: Sequence[Episode], method: Method) -> DatasetManifest:
 
     Raises EmptyInput for an empty batch, MixedRatio for mixed rate ratios,
     and ValidationFailure for duplicate ids or mixed joint counts; the last
-    is worded as AugmentedDataset words it.  Nothing is gathered.
+    is worded as AugmentedDataset words it.  Nothing is gathered: only each
+    episode's episode_id, ratio and joints are read, so stand-ins that carry
+    those three do for episodes already dropped.
     """
     episodes = list(episodes)
     if not episodes:

@@ -35,6 +35,7 @@ from .io import (
     is_staging_name,
     load_manifest,
     read_episode,
+    staging_dirs,
     verify_checksums,
     write_dataset,
     write_episode,
@@ -46,14 +47,15 @@ from .model import (
     Episode,
     Method,
     make_offsets,
+    step_dtype,
 )
 from .sim import (
     TRAJECTORY_NAMES,
     SimConfig,
     SimResult,
+    _simulations,
     default_sim_config,
     load_sim_config,
-    run_simulations,
 )
 
 
@@ -72,16 +74,19 @@ _SIM_CHUNK = 64
 def _simulated(config: SimConfig, trajectory: str, seeds: range) -> Iterator[SimResult]:
     """Results in seed order, simulated a chunk of seeds at a time.
 
-    A chunk that diverges is rerun one seed at a time, so the seeds before
-    the first diverging one are still yielded and its own message is raised.
+    Each result is made as it is asked for, so a caller that writes and drops
+    it holds the chunk's buffers and one seed's episode.  A chunk that
+    diverges is rerun one seed at a time, so the seeds before the first
+    diverging one are still yielded and its own message is raised.
     """
     for start in range(0, len(seeds), _SIM_CHUNK):
         chunk = seeds[start : start + _SIM_CHUNK]
         try:
-            results = run_simulations(config, trajectory, chunk)
+            # a chunk diverges at its first next(), before it yields a result
+            yield from _simulations(config, trajectory, chunk)
         except NumericalDivergence:
-            results = (r for seed in chunk for r in run_simulations(config, trajectory, [seed]))
-        yield from results
+            for seed in chunk:
+                yield from _simulations(config, trajectory, [seed])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -98,6 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"wrote {dest}  samples={ep.sample_count} frames={ep.frame_count} "
             f"ratio={ep.ratio} max_gap={result.max_position_gap:.3e} rad"
         )
+        del result, ep  # written: dropped before the next seed's episode is made
     report = {
         "command": "simulate",
         "trajectory": args.trajectory,
@@ -146,24 +152,38 @@ def _collect_episode_dirs(inputs: list[str]) -> list[tuple[Path, dict | None]]:
 def cmd_augment(args: argparse.Namespace) -> int:
     method = Method.from_name(args.method)
     dirs = _collect_episode_dirs(args.inputs)
+    # a write deletes the staging directories a killed writer may have left beside --out,
+    # and an overwrite the directory at --out, so none of them may hold an input
+    out = Path(args.out).resolve()
+    doomed = list(staging_dirs(out))
     if args.force:
-        # an overwrite deletes the directory at --out first, so it must hold no input
-        out = Path(args.out).resolve()
-        for d, _ in dirs:
-            if d.resolve().is_relative_to(out):
-                raise MultirateError(f"--out {args.out} would overwrite input episode {d}")
-    episodes = [read_episode(d, manifest=man) for d, man in dirs]
-    manifest = check_batch(episodes, method)
-    # the batch is checked whole, then augmented one source at a time as it is
-    # written, so one source's sub-episodes are held, never the whole dataset
-    streamed = SimpleNamespace(
-        manifest=manifest,
-        episodes=(sub for ep in episodes for sub in augment([ep], method).episodes),
-    )
+        doomed.append(out)
+    for d, _ in dirs:
+        if any(d.resolve().is_relative_to(p) for p in doomed):
+            raise MultirateError(f"--out {args.out} would overwrite input episode {d}")
+    sources = []  # what check_batch reads of each source, kept once the source is dropped
+
+    def sub_episodes() -> Iterator[AlignedEpisode]:
+        for d, man in dirs:
+            ep = read_episode(d, manifest=man)
+            sources.append(
+                SimpleNamespace(episode_id=ep.episode_id, ratio=ep.ratio, joints=ep.joints)
+            )
+            subs = augment([ep], method).episodes
+            del ep
+            yield from subs
+            del subs
+        streamed.manifest = check_batch(sources, method)
+
+    # each source is read, augmented and written before the next is read, inside the
+    # publish: the output's lock and existence are checked before any source is read, and
+    # a bad source, or a batch that fails its checks after the last, publishes nothing
+    streamed = SimpleNamespace(manifest=None, episodes=sub_episodes())
     dest = write_dataset(streamed, args.out, overwrite=args.force).parent
-    count = len(episodes) * len(make_offsets(method, manifest.ratio))
+    manifest = streamed.manifest
+    count = len(sources) * len(make_offsets(method, manifest.ratio))
     print(
-        f"{len(episodes)} episodes -> {count} sub-episodes  "
+        f"{len(sources)} episodes -> {count} sub-episodes  "
         f"method={method.value} ratio={manifest.ratio}"
     )
     print(f"wrote {dest}")
@@ -173,7 +193,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             "command": "augment",
             "method": method.value,
             "ratio": manifest.ratio,
-            "sources": len(episodes),
+            "sources": len(sources),
             "sub_episodes": count,
         },
     )
@@ -332,12 +352,15 @@ def _validate_dataset(
 
 
 def _rederive(ep: Episode, subs: tuple[AlignedEpisode, ...], manifest: DatasetManifest) -> None:
+    # every field of a step is 8-byte words, so a row can be viewed as its words
+    words = np.dtype(("<u8", step_dtype(ep.joints).itemsize // 8))
     for sub, rows in zip(subs, iter_steps(ep, [sub.provenance.offset for sub in subs])):
         # what AlignedEpisode.__eq__ compares; provenance matches by construction.  Rows
-        # are compared as bytes: gathered steps are copies of source bytes, so a stored
-        # -0.0 where the source holds +0.0 was not gathered from it.
+        # are compared as bytes, viewed as words so that neither side is copied: gathered
+        # steps are copies of source bytes, so a stored -0.0 where the source holds +0.0
+        # was not gathered from it.
         same = sub.cameras == ep.camera_ids and sub.rows.dtype == rows.dtype
-        if not (same and sub.rows.tobytes() == rows.tobytes()):
+        if not (same and np.array_equal(sub.rows.view(words), rows.view(words))):
             raise MultirateError(
                 f"source {ep.episode_id} offset {sub.provenance.offset}: stored steps "
                 "differ from re-derived steps"

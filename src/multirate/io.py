@@ -78,8 +78,16 @@ def _publish_lock(target: Path) -> Iterator[None]:
             pass
 
 
+def staging_dirs(target: Path) -> tuple[Path, Path]:
+    """The `<name>.tmp` and `<name>.old.tmp` directories _publish_dir works in for `target`.
+
+    A write to `target` deletes whatever a killed writer left at either.
+    """
+    return target.parent / (target.name + ".tmp"), target.parent / (target.name + ".old.tmp")
+
+
 def is_staging_name(name: str) -> bool:
-    """True for the `<name>.tmp` and `<name>.old.tmp` directories _publish_dir works in.
+    """True for the names of the directories staging_dirs gives.
 
     A killed writer can leave either behind; directory scans skip them, so
     they are never taken for artifacts.
@@ -105,8 +113,7 @@ def _publish_dir(
         # checked under the lock, so a target another writer published first is never replaced
         if target.exists() and not overwrite:
             raise IoFailure(f"{target} already exists (pass overwrite to replace it)")
-        tmp = target.parent / (target.name + ".tmp")
-        aside = target.parent / (target.name + ".old.tmp")
+        tmp, aside = staging_dirs(target)
         try:
             for stale in (tmp, aside):
                 if stale.exists():
@@ -431,9 +438,12 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
     `dataset.episodes` is iterated once and each sub-episode's rows are
     written as they come, so `episodes` may be an iterator that gathers each
     AlignedEpisode just before it is written (the command line's augment
-    passes one that holds one source's sub-episodes at a time).
+    passes one that reads and augments one source at a time).
+    `dataset.manifest` is read after the last sub-episode, so that iterator
+    may settle it as it goes.  If it raises, nothing is published.
     """
     entries = []
+    fields: dict = {"episodes": entries}
 
     def payloads() -> Iterator[tuple[str, np.ndarray]]:
         for i, sub in enumerate(dataset.episodes):
@@ -450,13 +460,11 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
             )
             # a read-only strided view of payload bytes is kept by AlignedEpisode as it is
             yield name, np.ascontiguousarray(sub.rows)
+        manifest = dataset.manifest
+        fields["method"] = manifest.method.value
+        fields["ratio"] = manifest.ratio
+        fields["source_episode_ids"] = list(manifest.source_episode_ids)
 
-    fields = {
-        "method": dataset.manifest.method.value,
-        "ratio": dataset.manifest.ratio,
-        "source_episode_ids": list(dataset.manifest.source_episode_ids),
-        "episodes": entries,
-    }
     return _write_artifact("dataset", fields, payloads(), out_dir, overwrite)
 
 

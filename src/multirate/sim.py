@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -624,9 +624,24 @@ def run_simulations(
     seed diverges, with the message of the first seed, in the order given,
     whose state crossed the limit at that substep; no result is returned.
     """
+    return list(_simulations(config, trajectory, seeds))
+
+
+def _simulations(
+    config: SimConfig,
+    trajectory: str | OperatorSchedule,
+    seeds: Sequence[int],
+) -> Iterator[SimResult]:
+    """run_simulations' results, each seed's built only when it is asked for.
+
+    The whole batch is stepped at the first next(), so a divergence is raised
+    there, before any result exists.  Each result then copies its seed's
+    streams and commands out of the batch buffers, so a caller that drops
+    each result before taking the next holds the buffers and one seed's copies.
+    """
     configs = [replace(config, seed=seed) for seed in seeds]
     if not configs:
-        return []
+        return
     sched = (
         trajectory
         if isinstance(trajectory, OperatorSchedule)
@@ -687,21 +702,18 @@ def run_simulations(
                 plant, decay, angle, velocity, dob, rfob, velocity, cmd, external, dt
             )
 
-    angles = streams[..., 0]
-    max_gaps = np.abs(angles[:, 0] - angles[:, 1]).max(axis=(1, 2))
     # each seed's frame file as one record array (docs/format.md): every frame carries
     # the follower angles of its anchor sample, little-endian
-    anchors = angles[:, 1, ::ratio]
+    anchors = streams[:, 1, ::ratio, :, 0]
     record = np.dtype([("seq", "<u8"), ("length", "<u8"), ("payload", "<f8", jc)])
     frames = np.empty(anchors.shape[:2], record)
     frames["seq"] = np.arange(frames.shape[1])
     frames["length"] = record["payload"].itemsize
     frames["payload"] = anchors
     starts = FRAME_HEADER.size + record.itemsize * np.arange(frames.shape[1])
-    results = []
-    for c, seed_streams, seed_commands, max_gap, seed_frames in zip(
-        configs, streams, commands, max_gaps, frames
-    ):
+    for c, seed_streams, seed_commands, seed_frames in zip(configs, streams, commands, frames):
+        angles = seed_streams[..., 0]
+        max_gap = np.abs(angles[0] - angles[1]).max()
         packed = seed_frames.tobytes()
         episode = Episode(
             episode_id=f"{sched.name}-{c.seed:05d}",
@@ -716,15 +728,14 @@ def run_simulations(
         # this seed's own copy: a view would keep the whole batch's buffer alive
         seed_commands = seed_commands.copy()
         seed_commands.setflags(write=False)
-        results.append(
-            SimResult(
-                episode=episode,
-                leader_commands=seed_commands[0],
-                follower_commands=seed_commands[1],
-                max_position_gap=float(max_gap),
-            )
+        yield SimResult(
+            episode=episode,
+            leader_commands=seed_commands[0],
+            follower_commands=seed_commands[1],
+            max_position_gap=float(max_gap),
         )
-    return results
+        # so that this seed's copies are gone before the next seed's are made
+        del packed, episode, seed_commands
 
 
 def simulate_episode(config: SimConfig, trajectory: str | OperatorSchedule) -> Episode:

@@ -992,6 +992,22 @@ def test_augment_force_refuses_an_out_that_holds_an_input(tmp_path, monkeypatch,
     assert reads == [] and _tree_bytes(tmp_path) == before
 
 
+@pytest.mark.parametrize("staging", ["ds.tmp", "ds.old.tmp"])
+@pytest.mark.parametrize("force", [False, True])
+def test_augment_refuses_an_out_whose_staging_directory_holds_an_input(tmp_path, capsys,
+                                                                       staging, force):
+    """A write deletes a stale `<out>.tmp` or `<out>.old.tmp`, so an input there is refused."""
+    ep = make_episode(t_len=100, joints=2, ratio=10)
+    write_episode(ep, tmp_path / staging / ep.episode_id)
+    before = _tree_bytes(tmp_path)
+    rc = main(["augment", str(tmp_path / staging / ep.episode_id), "--method", "dabi",
+               "--out", str(tmp_path / "ds")] + ["--force"] * force)
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: MultirateError: --out {tmp_path / 'ds'} would "
+                                       f"overwrite input episode {tmp_path / staging / 'ep-0'}\n")
+    assert _tree_bytes(tmp_path) == before
+
+
 def test_augment_force_beside_the_episodes_overwrites_the_dataset(tmp_path, capsys):
     root, eps = _write_episode_tree(tmp_path)
     args = ["augment", str(root), "--method", "dabi", "--out", str(root / "ds"), "--force"]
@@ -1027,6 +1043,54 @@ def test_cli_augment_refuses_a_batch_with_the_library_message(tmp_path, capsys, 
     assert main(["augment", *inputs, "--method", "dabi", "--out", str(tmp_path / "ds")]) == 1
     assert capsys.readouterr().err == f"error: {type(lib.value).__name__}: {lib.value}\n"
     assert not (tmp_path / "ds").exists()
+
+
+def _damage_follower(episode_dir):
+    """Flip one byte of the follower payload; its crc32 is left as written."""
+    path = episode_dir / "follower.f64"
+    data = bytearray(path.read_bytes())
+    data[0] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("case", ["damaged-then-mixed", "exists", "locked", "force"])
+def test_augment_reports_the_first_failure_in_its_order(tmp_path, capsys, case):
+    """The output's lock and existence come first, then each source in order, then the batch.
+
+    Whatever fails, one line goes to stderr and nothing is published: a
+    dataset already at --out is left byte for byte, and no staging
+    directory or lock of this run is left behind.
+    """
+    eps, ds = tmp_path / "eps", tmp_path / "ds"
+    for i, ratio in enumerate((10, 5 if case == "damaged-then-mixed" else 10)):
+        write_episode(make_episode(t_len=100, joints=2, ratio=ratio, episode_id=f"ep-{i}",
+                                   seed=i), eps / f"ep-{i}")
+    args = ["augment", str(eps), "--method", "dabi", "--out", str(ds)]
+    if case in ("exists", "force"):
+        assert main(args) == 0
+    if case == "locked":
+        (tmp_path / "ds.lock").touch()  # another writer's
+    before = _tree_bytes(tmp_path)
+    # the first source is damaged, but for --force, whose last source is
+    _damage_follower(eps / ("ep-1" if case == "force" else "ep-0"))
+    capsys.readouterr()
+    assert main(args + ["--force"] * (case == "force")) == 1
+    err = capsys.readouterr().err
+    first = {
+        "damaged-then-mixed": f"error: ChecksumMismatch: {eps / 'ep-0' / 'follower.f64'}: crc32 ",
+        "exists": f"error: IoFailure: {ds} already exists (pass overwrite to replace it)\n",
+        "locked": f"error: IoFailure: {ds} is locked by another writer ",
+        "force": f"error: ChecksumMismatch: {eps / 'ep-1' / 'follower.f64'}: crc32 ",
+    }[case]
+    assert err.startswith(first) and err.count("\n") == 1
+    assert not (tmp_path / "ds.tmp").exists() and not (tmp_path / "ds.old.tmp").exists()
+    assert (tmp_path / "ds.lock").exists() == (case == "locked")
+    after = _tree_bytes(tmp_path)
+    assert {k: v for k, v in after.items() if k.startswith("ds")} == {
+        k: v for k, v in before.items() if k.startswith("ds")
+    }
+    if case not in ("exists", "force"):
+        assert not ds.exists()
 
 
 @pytest.mark.parametrize("leftover", ["ep-0.old.tmp", "ep-0.tmp"])

@@ -1,12 +1,14 @@
 """Peak traced memory of the CLI commands against what they must hold.
 
-augment holds its sources and one source's sub-episodes at a time; validate
-one source and its sub-episodes at a time; stats one copy of the observations
-and one source's sub-episodes at a time.  The bounds leave room for np.take's
-buffer and small objects, but not for the dataset, a second source or a second
-source's sub-episodes.
+simulate holds a chunk's stream and command buffers and one seed's episode;
+augment one source and its sub-episodes at a time; validate one source and its
+sub-episodes at a time; stats one copy of the observations and one source's
+sub-episodes at a time.  The bounds leave room for np.take's buffer and small
+objects, but not for the dataset, a second source or a second source's
+sub-episodes, nor for a copy of every seed's streams.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -15,6 +17,7 @@ import pytest
 from multirate.cli import main
 from multirate.io import write_episode
 from multirate.model import make_offsets, step_dtype, Method
+from multirate.sim import default_sim_config, sim_config_to_dict
 
 from conftest import make_episode
 
@@ -53,11 +56,29 @@ def _block(t_len):
     return len(make_offsets(Method.DABI, RATIO)) * frames * step_dtype(JOINTS).itemsize
 
 
-def test_augment_holds_the_sources_and_one_source_block(sources, capsys):
+def test_simulate_holds_the_buffers_and_one_seed(tmp_path, capsys):
+    config = dataclasses.replace(default_sim_config(), duration_s=0.25)
+    path = tmp_path / "rig.json"
+    path.write_text(json.dumps(sim_config_to_dict(config)))
+    argv = ["simulate", "--config", str(path), "--trajectory", "pick_sweep"]
+    # a first run untraced, so that what numpy imports on first use is not counted
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    count = 16
+    peak = _peak([*argv, "--out", str(tmp_path / "eps"), "--count", str(count)], capsys)
+    # (N, 2, T, J, 3) streams and (N, 2, T, J) commands, float64
+    buffers = count * 2 * config.sample_count * config.joint_count * (3 + 1) * 8
+    # half the buffers: one seed's episode and the loop's small arrays fit (0.15 on
+    # CPython 3.11, numpy 2.4), a copy of every seed's streams (0.75) does not
+    assert peak < 1.5 * buffers
+
+
+def test_augment_holds_one_source_and_its_block(sources, capsys):
     out = sources.parent / "ds-augment"
     peak = _peak(["augment", str(sources), "--method", "dabi", "--out", str(out)], capsys)
-    held = sum(_payload_bytes(ep) for ep in sources.iterdir())
-    assert peak < held + 1.6 * _block(LENGTHS[0])
+    largest = _payload_bytes(sources / "ep-0")
+    # 0.6 of a block: the read's and the gather's buffers fit (0.26 on CPython 3.11, numpy
+    # 2.4), a second source held while this source's sub-episodes are written does not
+    assert peak < largest + 1.6 * _block(LENGTHS[0])
 
 
 def test_validate_holds_one_source_and_its_sub_episodes(sources, capsys):
