@@ -16,8 +16,7 @@ import os
 import shutil
 import stat
 import zlib
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -59,27 +58,8 @@ def _crc(data: bytes | memoryview) -> str:
     return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
 
 
-@contextmanager
-def _publish_lock(target: Path) -> Iterator[None]:
-    lock = target.parent / (target.name + ".lock")
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise IoFailure(f"{target} is locked by another writer ({lock} exists)") from None
-    except OSError as exc:
-        raise IoFailure(f"cannot create lock for {target}: {exc}") from exc
-    try:
-        os.close(fd)
-        yield
-    finally:
-        try:
-            os.unlink(lock)
-        except OSError:
-            pass
-
-
 def staging_dirs(target: Path) -> tuple[Path, Path]:
-    """The `<name>.tmp` and `<name>.old.tmp` directories _publish_dir works in for `target`.
+    """The `<name>.tmp` and `<name>.old.tmp` directories a write to `target` works in.
 
     A write to `target` deletes whatever a killed writer left at either.
     """
@@ -95,47 +75,82 @@ def is_staging_name(name: str) -> bool:
     return name.endswith(".tmp")
 
 
-def _publish_dir(
-    target: Path, files: Iterable[tuple[str, bytes | memoryview]], overwrite: bool
-) -> Path:
-    """Write `files` into `target` atomically: temp dir, old directory set aside, rename.
+class _Staging:
+    """One artifact staged in `<name>.tmp` beside `target`, then renamed into place.
 
-    Files are written in the order `files` gives them, so it may produce each
-    payload as it goes; if it raises, the temp dir is removed and `target` is
-    left as it was.
+    Entering takes the exclusive `<name>.lock`, checks `target` under it, clears
+    what a killed writer left at staging_dirs(target) and makes the staging
+    directory.  Leaving, published or not, removes the staging directory and the
+    lock, so a write that fails leaves `target` as it was; an OSError raised in
+    the block becomes IoFailure.
     """
-    target = Path(target)
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create parent of {target}: {exc}") from exc
-    with _publish_lock(target):
-        # checked under the lock, so a target another writer published first is never replaced
-        if target.exists() and not overwrite:
-            raise IoFailure(f"{target} already exists (pass overwrite to replace it)")
-        tmp, aside = staging_dirs(target)
+
+    def __init__(self, target: str | Path, kind: str, overwrite: bool) -> None:
+        self.target, self.kind, self.overwrite = Path(target), kind, overwrite
+        self.tmp, self.aside = staging_dirs(self.target)
+        self.lock = self.target.parent / (self.target.name + ".lock")
+        self.stamps: dict[str, dict] = {}
+
+    def __enter__(self) -> _Staging:
+        target = self.target
         try:
-            for stale in (tmp, aside):
+            target.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create parent of {target}: {exc}") from exc
+        try:
+            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise IoFailure(f"{target} is locked by another writer ({self.lock} exists)") from None
+        except OSError as exc:
+            raise IoFailure(f"cannot create lock for {target}: {exc}") from exc
+        try:
+            os.close(fd)
+            # checked under the lock, so a target another writer published first is never replaced
+            if target.exists() and not self.overwrite:
+                raise IoFailure(f"{target} already exists (pass overwrite to replace it)")
+            for stale in (self.tmp, self.aside):
                 if stale.exists():
                     shutil.rmtree(stale)
-            tmp.mkdir()
-            for name, data in files:
-                (tmp / name).write_bytes(data)
-            if target.is_dir() and not target.is_symlink():
-                os.replace(target, aside)
-            try:
-                os.replace(tmp, target)
-            except BaseException:
-                if aside.exists():
-                    os.replace(aside, target)
-                raise
-            shutil.rmtree(aside, ignore_errors=True)
+            self.tmp.mkdir()
         except BaseException as exc:
-            shutil.rmtree(tmp, ignore_errors=True)
-            if isinstance(exc, OSError):
-                raise IoFailure(f"failed to publish {target}: {exc}") from exc
+            self.__exit__(type(exc), exc, exc.__traceback__)
             raise
-    return target
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        shutil.rmtree(self.tmp, ignore_errors=True)
+        try:
+            os.unlink(self.lock)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise IoFailure(f"failed to publish {self.target}: {exc}") from exc
+
+    def put(self, name: str, data: np.ndarray | bytes) -> None:
+        """Write one payload, stamped and written as the buffer it is, never copied."""
+        view = memoryview(data)
+        self.stamps[name] = {"bytes": view.nbytes, "crc32": _crc(view)}
+        (self.tmp / name).write_bytes(view)
+
+    def publish(self, fields: dict) -> Path:
+        """Write manifest.json, declaring every payload put, and rename the staged directory
+        into place; returns the manifest path.  An overwrite sets the old directory aside,
+        and puts it back if the rename fails.
+        """
+        manifest = {"format_version": FORMAT_VERSION, "kind": self.kind, **fields,
+                    "files": self.stamps}
+        (self.tmp / "manifest.json").write_bytes(_json_bytes(manifest))
+        target, aside = self.target, self.aside
+        if target.is_dir() and not target.is_symlink():
+            os.replace(target, aside)
+        try:
+            os.replace(self.tmp, target)
+        except BaseException:
+            if aside.exists():
+                os.replace(aside, target)
+            raise
+        shutil.rmtree(aside, ignore_errors=True)
+        return target / "manifest.json"
 
 
 def _as_directory(path: str | Path) -> Path:
@@ -245,32 +260,6 @@ def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> bytes:
     return payloads[name]
 
 
-def _write_artifact(
-    kind: str,
-    fields: dict,
-    payloads: Iterable[tuple[str, np.ndarray | bytes]],
-    out_dir: str | Path,
-    overwrite: bool,
-) -> Path:
-    """Publish payloads as they come, then the manifest that declares them.
-
-    Each payload is written and checksummed as the buffer it is, never
-    copied.  `fields` is read after the last payload, so the producer of
-    `payloads` may fill it in as it goes.  Returns the manifest path.
-    """
-    stamps = {}
-
-    def files() -> Iterator[tuple[str, bytes | memoryview]]:
-        for name, data in payloads:
-            view = memoryview(data)
-            stamps[name] = {"bytes": view.nbytes, "crc32": _crc(view)}
-            yield name, view
-        manifest = {"format_version": FORMAT_VERSION, "kind": kind, **fields, "files": stamps}
-        yield "manifest.json", _json_bytes(manifest)
-
-    return _publish_dir(Path(out_dir), files(), overwrite) / "manifest.json"
-
-
 def _open_manifest(path: str | Path, kind: str, manifest: dict | None) -> tuple[Path, dict]:
     """The directory and manifest of one artifact of `kind`; a manifest the caller holds is used."""
     directory = _as_directory(path)
@@ -287,22 +276,23 @@ def _robot_payload(stream: RobotStream) -> np.ndarray:
 
 def write_episode(episode: Episode, out_dir: str | Path, overwrite: bool = False) -> Path:
     """Persist one episode; returns the path of the manifest written."""
-    payloads = [
-        (_LEADER_FILE, _robot_payload(episode.leader)),
-        (_FOLLOWER_FILE, _robot_payload(episode.follower)),
-        *((f"frames_{fs.camera_id}.bin", fs.packed) for fs in episode.frame_streams),
-    ]
-    fields = {
-        "episode_id": episode.episode_id,
-        "robot_rate_hz": episode.leader.rate_hz,
-        "frame_rate_hz": episode.frame_streams[0].rate_hz,
-        "joints": episode.joints,
-        "sample_count": episode.sample_count,
-        "frame_count": episode.frame_count,
-        "cameras": list(episode.camera_ids),
-        "meta": dict(episode.meta),
-    }
-    return _write_artifact("episode", fields, payloads, out_dir, overwrite)
+    with _Staging(out_dir, "episode", overwrite) as staging:
+        staging.put(_LEADER_FILE, _robot_payload(episode.leader))
+        staging.put(_FOLLOWER_FILE, _robot_payload(episode.follower))
+        for fs in episode.frame_streams:
+            staging.put(f"frames_{fs.camera_id}.bin", fs.packed)
+        return staging.publish(
+            {
+                "episode_id": episode.episode_id,
+                "robot_rate_hz": episode.leader.rate_hz,
+                "frame_rate_hz": episode.frame_streams[0].rate_hz,
+                "joints": episode.joints,
+                "sample_count": episode.sample_count,
+                "frame_count": episode.frame_count,
+                "cameras": list(episode.camera_ids),
+                "meta": dict(episode.meta),
+            }
+        )
 
 
 def _parse_robot(
@@ -440,14 +430,16 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
     AlignedEpisode just before it is written (the command line's augment
     passes one that reads and augments one source at a time).
     `dataset.manifest` is read after the last sub-episode, so that iterator
-    may settle it as it goes.  If it raises, nothing is published.
+    may settle it as it goes.  The sub-episodes written must pass the rules
+    read_dataset applies (source_groups).  If any of this raises, nothing is
+    published.
     """
     entries = []
-    fields: dict = {"episodes": entries}
-
-    def payloads() -> Iterator[tuple[str, np.ndarray]]:
+    with _Staging(out_dir, "dataset", overwrite) as staging:
         for i, sub in enumerate(dataset.episodes):
             name = f"steps-{i:05d}.bin"
+            # a read-only strided view of payload bytes is kept by AlignedEpisode as it is
+            staging.put(name, np.ascontiguousarray(sub.rows))
             entries.append(
                 {
                     "file": name,
@@ -458,14 +450,17 @@ def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: boo
                     "cameras": list(sub.cameras),
                 }
             )
-            # a read-only strided view of payload bytes is kept by AlignedEpisode as it is
-            yield name, np.ascontiguousarray(sub.rows)
         manifest = dataset.manifest
-        fields["method"] = manifest.method.value
-        fields["ratio"] = manifest.ratio
-        fields["source_episode_ids"] = list(manifest.source_episode_ids)
-
-    return _write_artifact("dataset", fields, payloads(), out_dir, overwrite)
+        placed = [(e["source_episode_id"], e["offset"], e["joints"]) for e in entries]
+        source_groups(manifest, placed)
+        return staging.publish(
+            {
+                "method": manifest.method.value,
+                "ratio": manifest.ratio,
+                "source_episode_ids": list(manifest.source_episode_ids),
+                "episodes": entries,
+            }
+        )
 
 
 class DatasetReader:

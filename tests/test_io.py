@@ -32,7 +32,7 @@ from multirate.io import (
     write_dataset,
     write_episode,
 )
-from multirate.model import FrameRecord, FrameStream, Method
+from multirate.model import DatasetManifest, FrameRecord, FrameStream, Method
 
 from conftest import episode_strategy, make_episode
 
@@ -115,14 +115,15 @@ def test_a_target_published_just_before_the_lock_is_not_replaced(tmp_path, episo
     target = tmp_path / "ep"
     theirs = dataclasses.replace(episode, episode_id="theirs")
     write_episode(theirs, tmp_path / "ref")
-    original = io._publish_lock
+    original = os.open
 
-    def racing(path):
-        monkeypatch.setattr(io, "_publish_lock", original)
-        write_episode(theirs, target)
-        return original(path)
+    def racing(path, *args, **kwargs):
+        if Path(path).name == "ep.lock":
+            monkeypatch.setattr(os, "open", original)
+            write_episode(theirs, target)
+        return original(path, *args, **kwargs)
 
-    monkeypatch.setattr(io, "_publish_lock", racing)
+    monkeypatch.setattr(os, "open", racing)
     with pytest.raises(IoFailure, match="already exists"):
         write_episode(episode, target)
     assert tree_bytes(target) == tree_bytes(tmp_path / "ref")
@@ -353,6 +354,58 @@ def test_failed_overwrite_keeps_the_old_dataset(tmp_path, episode, monkeypatch, 
     assert tree_bytes(target) == before
     assert read_dataset(target) == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def _fail_once(monkeypatch, owner, attr, name, exc):
+    """Patch `owner.attr` to raise `exc` at its first call on a path called `name`."""
+    real = getattr(owner, attr)
+    fired = []
+
+    def patched(path, *args, **kwargs):
+        if not fired and Path(path).name == name:
+            fired.append(path)
+            raise exc
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, patched)
+    return fired
+
+
+_PUBLISH_FAULTS = {
+    "clear stale tmp": (io.shutil, "rmtree", "ds.tmp", OSError),
+    "make staging dir": (Path, "mkdir", "ds.tmp", OSError),
+    "payload write": (Path, "write_bytes", "steps-00003.bin", OSError),
+    "manifest write": (Path, "write_bytes", "manifest.json", OSError),
+    "interrupt payload": (Path, "write_bytes", "steps-00003.bin", KeyboardInterrupt),
+}
+
+
+@pytest.mark.parametrize("overwrite", [False, True], ids=["fresh", "overwrite"])
+@pytest.mark.parametrize("fault", _PUBLISH_FAULTS)
+def test_a_fault_at_each_step_of_a_publish_leaves_the_target_as_it_was(
+    tmp_path, episode, monkeypatch, fault, overwrite
+):
+    target = tmp_path / "ds"
+    if overwrite:
+        write_dataset(augment([episode], Method.DABI), target)
+    before = tree_bytes(target)
+    if fault == "clear stale tmp":
+        (tmp_path / "ds.tmp").mkdir()
+        (tmp_path / "ds.tmp" / "steps-00000.bin").write_bytes(b"left by a killed writer")
+    owner, attr, name, kind = _PUBLISH_FAULTS[fault]
+    fired = _fail_once(monkeypatch, owner, attr, name, kind("injected"))
+    new = augment([episode], Method.FORWARD)
+    expected = IoFailure if kind is OSError else kind
+    with pytest.raises(expected) as caught:
+        write_dataset(new, target, overwrite=overwrite)
+    assert fired
+    if expected is IoFailure:
+        assert str(caught.value) == f"failed to publish {target}: injected"
+    assert target.exists() == overwrite and tree_bytes(target) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"] * overwrite
+    monkeypatch.undo()
+    write_dataset(new, target, overwrite=overwrite)
+    assert read_dataset(target) == new
 
 
 def test_overwrite_clears_a_stale_aside_copy(tmp_path, episode):
@@ -673,6 +726,45 @@ def test_episodes_given_as_an_iterator_are_written_as_the_dataset(tmp_path):
     write_dataset(SimpleNamespace(manifest=whole.manifest, episodes=iter(whole.episodes)),
                   tmp_path / "iterated")
     assert tree_bytes(tmp_path / "iterated") == tree_bytes(tmp_path / "whole")
+
+
+@pytest.mark.parametrize(
+    "case, refusal",
+    [
+        ("missing source",
+         "dataset holds 10 sub-episodes, expected 20 (10 per source x 2 sources)"),
+        ("mixed joints", "source b offset -4: 2 joints, but the first sub-episode has 3"),
+        ("offsets out of order", None),
+    ],
+    ids=["missing source", "mixed joints", "offsets out of order"],
+)
+def test_write_dataset_refuses_what_read_dataset_refuses(tmp_path, case, refusal):
+    """Sub-episodes streamed against a manifest are held to the reader's rules before publishing.
+
+    Offset order is not one of them: validate's `ordering` row reports it.
+    """
+    a = make_episode(t_len=95, joints=3, ratio=10, frame_count=10, episode_id="a", seed=1)
+    b = make_episode(t_len=95, joints=2 if case == "mixed joints" else 3, ratio=10,
+                     frame_count=10, episode_id="b", seed=2)
+    subs = augment([a], Method.DABI).episodes + augment([b], Method.DABI).episodes
+    if case == "missing source":
+        subs = subs[:10]
+    elif case == "offsets out of order":
+        subs = (subs[1], subs[0], *subs[2:])
+    manifest = DatasetManifest(Method.DABI, 10, ("a", "b"))
+    target = tmp_path / "ds"
+    write_dataset(augment([a], Method.FORWARD), target)
+    before = tree_bytes(target)
+    streamed = SimpleNamespace(manifest=manifest, episodes=iter(subs))
+    if refusal is None:
+        write_dataset(streamed, target, overwrite=True)
+        assert read_dataset(target).episodes == subs
+        return
+    with pytest.raises(ValidationFailure) as exc:
+        write_dataset(streamed, target, overwrite=True)
+    assert str(exc.value) == refusal
+    assert tree_bytes(target) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
 def test_an_interrupt_between_the_renames_puts_the_old_artifact_back(tmp_path, episode, monkeypatch):
