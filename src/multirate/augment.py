@@ -46,9 +46,35 @@ def source_indices(
             f"bad index args ratio={ratio} frame_count={frame_count} "
             f"sample_count={sample_count}"
         )
-    offs = np.asarray(offsets, dtype=np.int64).reshape(-1, 1)
-    raw = np.arange(frame_count, dtype=np.int64) * ratio + offs
+    raw = _raw_indices(offsets, ratio, frame_count)
     return raw, np.clip(raw, 0, sample_count - 1)
+
+
+def _raw_indices(offsets: Sequence[int], ratio: int, frame_count: int) -> np.ndarray:
+    """source_indices' `raw`, for arguments it accepts."""
+    offs = np.asarray(offsets, dtype=np.int64).reshape(-1, 1)
+    return np.arange(frame_count, dtype=np.int64) * ratio + offs
+
+
+def gather_steps(
+    episode: Episode, clipped: np.ndarray, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """The steps at each row of `clipped`'s sample indices, one row at a time.
+
+    Yields, for each row in order, its steps laid out as in slice_episode: in
+    an array of step_dtype(joints) of its own, or in `out`, an array of that
+    dtype and the row's length, which each row then overwrites.
+    """
+    width = episode.joints * CHANNELS_PER_JOINT
+    follower = episode.follower.data.reshape(-1, width)
+    leader = episode.leader.data.reshape(-1, width)
+    for indices in clipped:
+        rows = np.empty(indices.shape, dtype=step_dtype(episode.joints)) if out is None else out
+        rows["source_index"] = indices
+        # take fills the fields in place: cheaper than assigning a fancy-indexed copy
+        follower.take(indices, axis=0, out=rows["observation"])
+        leader.take(indices, axis=0, out=rows["action"])
+        yield rows
 
 
 def iter_steps(episode: Episode, offsets: Sequence[int]) -> Iterator[np.ndarray]:
@@ -62,16 +88,7 @@ def iter_steps(episode: Episode, offsets: Sequence[int]) -> Iterator[np.ndarray]
     _, clipped = source_indices(
         offsets, episode.ratio, episode.frame_count, episode.sample_count
     )
-    width = episode.joints * CHANNELS_PER_JOINT
-    follower = episode.follower.data.reshape(-1, width)
-    leader = episode.leader.data.reshape(-1, width)
-    for indices in clipped:
-        rows = np.empty(indices.shape, dtype=step_dtype(episode.joints))
-        rows["source_index"] = indices
-        # np.take fills the fields in place: cheaper than assigning a fancy-indexed copy
-        np.take(follower, indices, axis=0, out=rows["observation"])
-        np.take(leader, indices, axis=0, out=rows["action"])
-        yield rows
+    yield from gather_steps(episode, clipped)
 
 
 def slice_episode(episode: Episode, offset: int) -> AlignedEpisode:
@@ -184,8 +201,25 @@ def source_coverage(
 ) -> CoverageReport:
     """evenness_report over one source's sub-episodes `subs`, in stored order.
 
-    Raises ProvenanceMismatch on a ratio disagreement, or sub-episode
-    offsets/step counts inconsistent with the declared method.
+    Raises ProvenanceMismatch as stored_indices does.
+    """
+    return CoverageReport(
+        counts=np.bincount(
+            stored_indices(manifest, subs, episode).ravel(), minlength=episode.sample_count
+        ),
+        clamped_steps=count_clamped(subs, episode.ratio),
+    )
+
+
+def stored_indices(
+    manifest: DatasetManifest, subs: Sequence[AlignedEpisode], episode: Episode
+) -> np.ndarray:
+    """The source indices one source's sub-episodes `subs` store, once they fit `episode`.
+
+    Returns an int64 (len(subs), frame_count) array, in stored order.  Raises
+    ProvenanceMismatch on a ratio disagreement, sub-episode offsets or step
+    counts inconsistent with the declared method, or an index outside the
+    episode.
     """
     ratio = episode.ratio
     if manifest.ratio != ratio:
@@ -210,18 +244,21 @@ def source_coverage(
         raise ProvenanceMismatch(
             f"source_index {stored[outside][0]} outside episode of length {t_len}"
         )
-    return CoverageReport(
-        counts=np.bincount(stored.ravel().astype(np.int64), minlength=t_len),
-        clamped_steps=count_clamped(subs, ratio),
-    )
+    # every word is below the sample count, so its bits read the same as an int64
+    return stored.view(np.int64)
 
 
 def count_clamped(subs: Sequence[AlignedEpisode], ratio: int) -> int:
     """Steps whose stored source index is not the raw index k * R + offset: the clamped ones."""
     # raw indices of the longest sub-episode, cut to each one's steps: no source length is needed
-    lengths = np.array([sub.step_count for sub in subs])
-    raw, _ = source_indices([sub.provenance.offset for sub in subs], ratio, lengths.max(), 1)
-    raw = raw[np.arange(raw.shape[1]) < lengths[:, None]]
+    lengths = [sub.step_count for sub in subs]
+    raw = _raw_indices([sub.provenance.offset for sub in subs], ratio, max(lengths))
+    if min(lengths) < raw.shape[1]:
+        raw = raw[np.arange(raw.shape[1]) < np.array(lengths)[:, None]]
+    raw = raw.ravel()
     stored = np.concatenate([sub.source_index for sub in subs])
-    # compared as u64: a negative raw index is clamped whatever word is stored for it
-    return int(np.count_nonzero((raw < 0) | (stored != raw.astype(np.uint64))))
+    # compared as u64 words, raw viewed as one: a negative raw index is clamped whatever
+    # word is stored for it, its wrapped word 2^64 + raw too
+    clamped = raw < 0
+    clamped |= stored != raw.view(np.uint64)
+    return int(np.count_nonzero(clamped))

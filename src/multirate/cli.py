@@ -23,9 +23,9 @@ from .augment import (
     augment,
     check_batch,
     count_clamped,
-    iter_steps,
-    source_coverage,
+    gather_steps,
     source_indices,
+    stored_indices,
 )
 from .errors import IoFailure, MultirateError, NumericalDivergence
 from .io import (
@@ -217,15 +217,16 @@ def _source_candidates(
     scanned += beside + [p for d in beside for p in _subdirs(d)]
     candidates.extend(p for p in scanned if not is_staging_name(p.name))
     out: dict[str, list[tuple[Path, dict]]] = {}
-    # one directory may be reached by several spellings; each is read once
-    seen = {dataset_dir.resolve()}
+    # one directory may be reached by several spellings; each is read once, and one that
+    # is gone by the time it is told apart from the others not at all
+    seen = {None, _directory_key(dataset_dir)}
     for path in candidates:
         if not (path / "manifest.json").is_file():
             continue
-        resolved = path.resolve()
-        if resolved in seen:
+        key = _directory_key(path)
+        if key in seen:
             continue
-        seen.add(resolved)
+        seen.add(key)
         try:
             man = load_manifest(path)
         except MultirateError:
@@ -234,6 +235,15 @@ def _source_candidates(
         if man.get("kind") == "episode" and eid in wanted:
             out.setdefault(eid, []).append((path, man))
     return out
+
+
+def _directory_key(path: Path) -> tuple[int, int] | None:
+    """What tells the directory at `path` from others, symlinks followed; None when it is gone."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
 
 
 def _read_first(candidates: list[tuple[Path, dict]]) -> Episode | None:
@@ -297,12 +307,23 @@ def _validate_dataset(
             if ep is not None:
                 located += 1
                 rederived += len(subs)
-                for name, check in (("re-derivation", _rederive), ("coverage", _coverage)):
+                # one index computation per source feeds both rows: the sample index of
+                # each stored offset's steps, in stored order
+                raw, clipped = source_indices(
+                    [sub.provenance.offset for sub in subs],
+                    ep.ratio, ep.frame_count, ep.sample_count,
+                )
+                rows = (
+                    ("re-derivation", lambda: _rederive(ep, subs, clipped)),
+                    ("coverage", lambda: _coverage(ep, subs, reader.manifest, raw, clipped)),
+                )
+                for name, check in rows:
                     if name not in failed:
                         try:
-                            check(ep, subs, reader.manifest)
+                            check()
                         except MultirateError as exc:
                             failed[name] = f"{type(exc).__name__}: {exc}"
+                del raw, clipped
             del ep, part, subs
     except MultirateError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -351,28 +372,44 @@ def _validate_dataset(
         checks.add(name, "fail" if name in failed else "ok", failed.get(name, notes[name]))
 
 
-def _rederive(ep: Episode, subs: tuple[AlignedEpisode, ...], manifest: DatasetManifest) -> None:
-    # every field of a step is 8-byte words, so a row can be viewed as its words
-    words = np.dtype(("<u8", step_dtype(ep.joints).itemsize // 8))
-    for sub, rows in zip(subs, iter_steps(ep, [sub.provenance.offset for sub in subs])):
-        # what AlignedEpisode.__eq__ compares; provenance matches by construction.  Rows
-        # are compared as bytes, viewed as words so that neither side is copied: gathered
-        # steps are copies of source bytes, so a stored -0.0 where the source holds +0.0
-        # was not gathered from it.
-        same = sub.cameras == ep.camera_ids and sub.rows.dtype == rows.dtype
-        if not (same and np.array_equal(sub.rows.view(words), rows.view(words))):
+def _rederive(ep: Episode, subs: tuple[AlignedEpisode, ...], clipped: np.ndarray) -> None:
+    """Fail unless each stored sub-episode is its source gathered at its row of `clipped`."""
+    steps = np.empty(ep.frame_count, step_dtype(ep.joints))  # one gather buffer for all offsets
+    # every field of a step is 8-byte words, so steps compare as their words, neither side
+    # copied: gathered steps are copies of source bytes, so a stored -0.0 where the source
+    # holds +0.0 was not gathered from it
+    words = np.dtype(("<u8", steps.dtype.itemsize // 8))
+    want = steps.view(words)
+    differ = np.empty(want.shape, dtype=bool)
+    cameras = ep.camera_ids
+    for sub, _ in zip(subs, gather_steps(ep, clipped, out=steps)):
+        # what AlignedEpisode.__eq__ compares; provenance matches by construction
+        same = sub.cameras == cameras and sub.rows.dtype == steps.dtype
+        if not (same and sub.rows.shape == steps.shape) or np.count_nonzero(
+            np.not_equal(sub.rows.view(words), want, out=differ)
+        ):
             raise MultirateError(
                 f"source {ep.episode_id} offset {sub.provenance.offset}: stored steps "
                 "differ from re-derived steps"
             )
 
 
-def _coverage(ep: Episode, subs: tuple[AlignedEpisode, ...], manifest: DatasetManifest) -> None:
-    rep = source_coverage(manifest, subs, ep)
-    offsets = make_offsets(manifest.method, manifest.ratio)
-    raw, clipped = source_indices(offsets, manifest.ratio, ep.frame_count, ep.sample_count)
-    want = np.bincount(clipped.ravel(), minlength=ep.sample_count)
-    if not np.array_equal(rep.counts, want) or rep.clamped_steps != (raw != clipped).sum():
+def _coverage(
+    ep: Episode,
+    subs: tuple[AlignedEpisode, ...],
+    manifest: DatasetManifest,
+    raw: np.ndarray,
+    clipped: np.ndarray,
+) -> None:
+    """Fail unless the stored indices use each sample and clamp as often as the method does."""
+    stored = stored_indices(manifest, subs, ep)
+    # the stored offsets are the method's (stored_indices checks), so `raw` and `clipped` hold
+    # the method's indices, in stored order
+    t_len = ep.sample_count
+    counts = np.bincount(stored.ravel(), minlength=t_len)
+    if not np.array_equal(counts, np.bincount(clipped.ravel(), minlength=t_len)) or (
+        np.count_nonzero(stored != raw) != np.count_nonzero(clipped != raw)
+    ):
         raise MultirateError(f"source {ep.episode_id}: coverage counts mismatch")
 
 

@@ -462,8 +462,10 @@ def source_groups(
     `entries` holds each sub-episode's (source id, offset, joints), in stored
     order.  Sources come in manifest order, each with its places in stored
     order (none for a source without sub-episodes).  Raises ValidationFailure
-    unless there is one sub-episode per source and offset of the method's
-    window, each of a manifest source and all with the first one's joint count.
+    unless there are as many sub-episodes as sources times offsets of the
+    method's window, each of a manifest source and all with the first one's
+    joint count.  Which offsets each source holds, and their order, are left
+    to validate.
     """
     per_source = len(make_offsets(manifest.method, manifest.ratio))
     expected = per_source * len(manifest.source_episode_ids)

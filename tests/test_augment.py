@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from multirate.augment import (
     augment,
+    count_clamped,
     evenness_report,
     make_offsets,
     slice_episode,
@@ -16,7 +17,7 @@ from multirate.errors import (
     ProvenanceMismatch,
     ValidationFailure,
 )
-from multirate.model import Method
+from multirate.model import AlignedEpisode, Method
 
 from conftest import episode_strategy, make_episode
 
@@ -193,6 +194,25 @@ def test_evenness_oracle_dabi():
     assert rep.clamped_steps == 4  # offsets -4..-1 at frame 0
     assert rep.referenced_once == 95
     assert rep.unreferenced == 4
+
+
+def test_count_clamped_follows_the_per_step_rule_on_ragged_sub_episodes():
+    """One source's sub-episodes cut to different lengths, one index word wrapped."""
+    ep = make_episode(t_len=92, joints=2, ratio=10, seed=3)  # frame 9 at offsets 2.. clamps
+    subs = []
+    for keep, offset in zip((10, 3, 10, 1, 7, 10, 10, 2, 10, 9), make_offsets(Method.DABI, 10)):
+        rows = np.array(slice_episode(ep, offset).rows[:keep])
+        if offset == -4:
+            rows["source_index"][0] = 2**64 - 4  # raw index -4 wrapped to a u64 word
+        subs.append(AlignedEpisode(rows, ep.camera_ids, slice_episode(ep, offset).provenance))
+    want = sum(
+        k * 10 + sub.provenance.offset < 0 or int(word) != k * 10 + sub.provenance.offset
+        for sub in subs
+        for k, word in enumerate(sub.source_index)
+    )
+    assert want == 4 + 2  # frame 0 at offsets -4..-1; frame 9 at 2 and 4, not cut off there
+    assert count_clamped(subs, 10) == want
+    assert count_clamped(subs[:1], 10) == 1
 
 
 def test_evenness_oracle_forward():
