@@ -191,10 +191,13 @@ _NOT_A_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO, 
 
 
 def _read_payload(directory: Path, name: str) -> bytes:
-    """The bytes of payload `name` in `directory`: one open, one fstat, then reads to EOF.
+    """The bytes of payload `name` in `directory`: one open, one fstat and one read.
 
-    Anything but a regular file is missing; the open does not block, so a
-    FIFO in a payload's place is refused, not waited on.
+    The read asks for one byte more than the fstat size.  When exactly that size
+    comes back, the file ended where the fstat said; otherwise (the file grew or
+    shrank since, or the read stopped short) reading goes on to EOF.  Anything
+    but a regular file is missing; the open does not block, so a FIFO in a
+    payload's place is refused, not waited on.
     """
     try:
         fd = os.open(os.path.join(directory, name), os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
@@ -205,9 +208,11 @@ def _read_payload(directory: Path, name: str) -> bytes:
         try:
             st = os.fstat(fd)
             if stat.S_ISREG(st.st_mode):
-                # the stat size is a first guess: reading goes on to EOF
-                chunks = []
-                while chunk := os.read(fd, st.st_size + 1 if not chunks else 1 << 16):
+                data = os.read(fd, st.st_size + 1)
+                if len(data) == st.st_size:
+                    return data
+                chunks = [data]
+                while chunk := os.read(fd, 1 << 16):
                     chunks.append(chunk)
                 return b"".join(chunks)
         except OSError as exc:
@@ -319,12 +324,11 @@ def _parse_frames(
     name = f"frames_{camera_id}.bin"
     data = _payload(payloads, directory, name)
     if len(data) >= FRAME_HEADER.size:
-        # when the first record's size tiles the file, every record may have that size;
-        # from_packed checks each header against these starts
+        # when the first record's size tiles the file into its frames, every record may have
+        # that size: from_packed checks each header at its place in one pass
         record = FRAME_HEADER.size + FRAME_HEADER.unpack_from(data)[1]
-        count, rest = divmod(len(data), record)
-        if not rest and count == frame_count:
-            starts = np.arange(FRAME_HEADER.size, len(data), record, dtype=np.int64)
+        if record * frame_count == len(data):
+            starts = range(FRAME_HEADER.size, len(data) + 1, record)
             try:
                 return FrameStream.from_packed(camera_id, rate_hz, data, starts)
             except ValidationFailure:

@@ -108,8 +108,10 @@ def _steps_finite(rows: np.ndarray) -> bool:
     index words too; only when that pass meets a non-finite word, a NaN or inf
     value or an index whose bits read as one, are the two vector fields tested.
     """
-    if rows.flags.c_contiguous and np.isfinite(rows.view("<f8")).all():
-        return True
+    if rows.flags.c_contiguous:
+        words = rows.view("<f8")
+        if np.count_nonzero(np.isfinite(words)) == words.size:
+            return True
     return bool(np.isfinite(rows["observation"]).all() and np.isfinite(rows["action"]).all())
 
 
@@ -207,7 +209,12 @@ class FrameStream:
     def from_packed(
         cls, camera_id: str, rate_hz: int, packed: bytes, starts: Iterable[int]
     ) -> "FrameStream":
-        """The stream over a packed frame file whose payloads begin at `starts`; no copy."""
+        """The stream over a packed frame file whose payloads begin at `starts`; no copy.
+
+        `starts` as a range 16, 16 + r, ... whose r-byte records tile `packed`
+        says the records have one length: every header is then read through one
+        strided view, r bytes apart.
+        """
         stream = cls.__new__(cls)
         stream._hold(camera_id, rate_hz, packed, starts)
         return stream
@@ -219,28 +226,44 @@ class FrameStream:
             )
         if rate_hz < 1:
             raise ValidationFailure(f"frame rate must be >= 1 Hz, got {rate_hz}")
-        starts = np.array(starts, dtype=np.int64)
+        # a range's step is the size of every record, when those records tile `packed`
+        record = starts.step if isinstance(starts, range) else 0
+        if record:
+            starts = np.arange(starts.start, starts.stop, record, dtype=np.int64)
+        else:
+            starts = np.array(starts, dtype=np.int64)
         if starts.ndim != 1 or len(starts) < 1:
             raise ValidationFailure("frame stream must hold at least one frame")
         if not isinstance(packed, bytes):
             raise ValidationFailure(f"packed frames must be bytes, got {type(packed).__name__}")
-        # each header sits just before its payload and its length ends where the next begins
-        heads = starts - FRAME_HEADER.size
-        ends = np.append(heads[1:], len(packed))
         misfit = f"camera {camera_id}: payload starts do not match the packed frame headers"
-        if heads[0] != 0 or (ends < starts).any():
+        count = len(starts)
+        if record >= FRAME_HEADER.size and starts[0] == FRAME_HEADER.size and (
+            count * record == len(packed)
+        ):
+            # row k of this view is the header at byte k * record, inside `packed` by the tiling
+            at = np.ndarray((count, 2), "<u8", packed, strides=(record, 8))
+            want = record - FRAME_HEADER.size
+        else:
+            # each header sits just before its payload and its length ends where the next begins
+            heads = starts - FRAME_HEADER.size
+            ends = np.append(heads[1:], len(packed))
+            if heads[0] != 0 or (ends < starts).any():
+                raise ValidationFailure(misfit)
+            # row i of this view is the header that would start at byte i, so one take reads
+            # every header; the checks above keep each head inside `packed`
+            at = np.ndarray((len(packed) - FRAME_HEADER.size + 1, 2), "<u8", packed, strides=(1, 8))
+            at = at[heads]
+            want = ends - starts
+        seqs, lengths = at[:, 0], at[:, 1]
+        if np.count_nonzero(lengths != want):
             raise ValidationFailure(misfit)
-        # row i of this view is the header that would start at byte i, so one take reads
-        # every header; the checks above keep each head inside `packed`
-        at = np.ndarray((len(packed) - FRAME_HEADER.size + 1, 2), "<u8", packed, strides=(1, 8))
-        seqs, lengths = at[heads].T
-        if (lengths != ends - starts).any():
-            raise ValidationFailure(misfit)
-        wrong = np.flatnonzero(seqs != np.arange(len(starts)))
-        if len(wrong):
+        wrong = seqs != np.arange(count, dtype=np.uint64)
+        if np.count_nonzero(wrong):
+            k = int(wrong.argmax())
             raise ValidationFailure(
                 f"camera {camera_id}: frame seqs must be 0..F-1 in order, "
-                f"got seq {seqs[wrong[0]]} at position {wrong[0]}"
+                f"got seq {seqs[k]} at position {k}"
             )
         starts.setflags(write=False)
         object.__setattr__(self, "camera_id", camera_id)
@@ -380,10 +403,9 @@ class AlignedEpisode:
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows)
-        # one dtype test covers index type, equal obs/act widths and width = 3*joints
-        obs = (rows.dtype.fields or {}).get("observation")
-        width = obs[0].shape if obs else ()
-        joints = width[0] // CHANNELS_PER_JOINT if len(width) == 1 else 0
+        # the joint count a step of this size holds: one dtype test then covers index
+        # type, equal obs/act widths and width = 3*joints
+        joints = (rows.dtype.itemsize - 8) // (2 * 8 * CHANNELS_PER_JOINT)
         if rows.ndim != 1 or joints < 1 or rows.dtype != step_dtype(joints):
             raise ValidationFailure(
                 f"rows must be a 1-d array of step_dtype(joints), "

@@ -710,7 +710,7 @@ def _simulations(
     frames["seq"] = np.arange(frames.shape[1])
     frames["length"] = record["payload"].itemsize
     frames["payload"] = anchors
-    starts = FRAME_HEADER.size + record.itemsize * np.arange(frames.shape[1])
+    starts = range(FRAME_HEADER.size, frames[0].nbytes + 1, record.itemsize)
     for c, seed_streams, seed_commands, seed_frames in zip(configs, streams, commands, frames):
         angles = seed_streams[..., 0]
         max_gap = np.abs(angles[0] - angles[1]).max()

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -199,6 +200,90 @@ def test_a_fifo_in_a_payloads_place_is_missing_without_blocking(tmp_path, episod
         row = f"FAIL checksums: ValidationFailure: {d.name}: declared file {name} is missing"
         assert row in done.stdout
         assert "Traceback" not in done.stderr
+
+
+def _asked_reads(monkeypatch) -> list[int]:
+    """The sizes os.read is asked for from here on."""
+    asked = []
+    original = os.read
+
+    def counting(fd, size):
+        asked.append(size)
+        return original(fd, size)
+
+    monkeypatch.setattr(io.os, "read", counting)
+    return asked
+
+
+def _fstat_sizes(monkeypatch, reported) -> None:
+    """os.fstat from here on reports a file of `size` bytes as `reported(size)` bytes."""
+    original = os.fstat
+
+    def stale(fd):
+        st = original(fd)
+        return os.stat_result((*st[:6], reported(st.st_size), *st[7:10]))
+
+    monkeypatch.setattr(io.os, "fstat", stale)
+
+
+def test_a_payload_costs_one_read(tmp_path, episode, monkeypatch):
+    d = write_episode(episode, tmp_path / "ep").parent
+    ds = write_dataset(augment([episode], Method.DABI), tmp_path / "ds").parent
+    payloads = [(d, name) for name in load_manifest(d)["files"]] + [(ds, "steps-00000.bin")]
+    (d / "empty.bin").write_bytes(b"")
+    payloads.append((d, "empty.bin"))
+    for directory, name in payloads:
+        want = (directory / name).read_bytes()
+        asked = _asked_reads(monkeypatch)
+        assert io._read_payload(directory, name) == want
+        # one byte more than the file holds is asked for, so the read that returns it ends
+        assert asked == [len(want) + 1], name
+        monkeypatch.undo()
+
+
+def test_a_payload_that_grew_after_its_fstat_is_read_to_its_end(tmp_path, monkeypatch):
+    episode = make_episode(t_len=4000, joints=3, ratio=10)  # 288 000 bytes per robot stream
+    d = write_episode(episode, tmp_path / "ep").parent
+    want = (d / "leader.f64").read_bytes()
+    _fstat_sizes(monkeypatch, lambda size: min(size, 10))  # the fstat saw the first 10 bytes
+    asked = _asked_reads(monkeypatch)
+    assert io._read_payload(d, "leader.f64") == want
+    # the first read fills its request, so reading goes on until a read returns nothing
+    assert asked[0] == 11 and set(asked[1:]) == {1 << 16}
+    assert read_episode(d) == episode
+
+
+def test_a_payload_shorter_than_its_fstat_gives_the_bytes_there(tmp_path, episode, monkeypatch):
+    d = write_dataset(augment([episode], Method.DABI), tmp_path / "ds").parent
+    path = d / "steps-00002.bin"
+    data = path.read_bytes()
+    path.write_bytes(data[:-40])
+    _fstat_sizes(monkeypatch, lambda size: size + 40)  # as the fstat saw it before the cut
+    assert io._read_payload(d, "steps-00002.bin") == data[:-40]
+    with pytest.raises(ChecksumMismatch) as exc:
+        read_dataset(d)
+    assert str(exc.value) == f"{path}: size {len(data) - 40} != declared {len(data)}"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_fifo_in_a_payloads_place_is_refused_before_any_read(tmp_path, monkeypatch):
+    os.mkfifo(tmp_path / "leader.f64")
+    asked = _asked_reads(monkeypatch)
+
+    def waited(signum, frame):
+        raise TimeoutError("the open waited for a writer")
+
+    # an open that waits on the FIFO is cut short after 10 s, and the test fails
+    previous = signal.signal(signal.SIGALRM, waited)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(ValidationFailure) as exc:
+            io._read_payload(tmp_path, "leader.f64")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == f"{tmp_path}: declared file leader.f64 is missing"
+    assert asked == []
 
 
 def test_an_unreadable_payload_is_an_io_failure(tmp_path, episode, monkeypatch):

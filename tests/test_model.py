@@ -192,6 +192,13 @@ def test_from_packed_checks_headers_as_the_gathered_block_does(lengths, uniform,
     want = _outcome(lambda: _gathered_header_checks("cam", packed, starts))
     got = _outcome(lambda: FrameStream.from_packed("cam", 10, packed, starts).starts.tolist())
     assert got == want
+    # evenly spaced starts, given as a range, are checked by one strided pass when they
+    # tile the file, and by the general one otherwise: both as the reference does
+    step = starts[1] - starts[0] if len(starts) > 1 else len(packed) or 1
+    spaced = range(starts[0], starts[-1] + 1, step)
+    if step > 0 and list(spaced) == starts:
+        got = _outcome(lambda: FrameStream.from_packed("cam", 10, packed, spaced).starts.tolist())
+        assert got == want
     if fault is None:
         assert got == ("ok", starts)
 
