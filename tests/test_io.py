@@ -229,16 +229,16 @@ def _fstat_sizes(monkeypatch, reported) -> None:
 def test_a_payload_costs_one_read(tmp_path, episode, monkeypatch):
     d = write_episode(episode, tmp_path / "ep").parent
     ds = write_dataset(augment([episode], Method.DABI), tmp_path / "ds").parent
-    payloads = [(d, name) for name in load_manifest(d)["files"]] + [(ds, "steps-00000.bin")]
     (d / "empty.bin").write_bytes(b"")
-    payloads.append((d, "empty.bin"))
+    payloads = [(d, name) for name in [*load_manifest(d)["files"], "empty.bin"]]
+    payloads.append((ds, "steps-00000.bin"))
+    asked = _asked_reads(monkeypatch)
     for directory, name in payloads:
-        want = (directory / name).read_bytes()
-        asked = _asked_reads(monkeypatch)
-        assert io._read_payload(directory, name) == want
+        asked.clear()
+        data = io._read_payload(directory, name)
+        assert data == (directory / name).read_bytes()
         # one byte more than the file holds is asked for, so the read that returns it ends
-        assert asked == [len(want) + 1], name
-        monkeypatch.undo()
+        assert asked == [len(data) + 1], name
 
 
 def test_a_payload_that_grew_after_its_fstat_is_read_to_its_end(tmp_path, monkeypatch):

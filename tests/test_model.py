@@ -194,9 +194,9 @@ def test_from_packed_checks_headers_as_the_gathered_block_does(lengths, uniform,
     assert got == want
     # evenly spaced starts, given as a range, are checked by one strided pass when they
     # tile the file, and by the general one otherwise: both as the reference does
-    step = starts[1] - starts[0] if len(starts) > 1 else len(packed) or 1
+    step = starts[1] - starts[0] if len(starts) > 1 else len(packed)
     spaced = range(starts[0], starts[-1] + 1, step)
-    if step > 0 and list(spaced) == starts:
+    if list(spaced) == starts:
         got = _outcome(lambda: FrameStream.from_packed("cam", 10, packed, spaced).starts.tolist())
         assert got == want
     if fault is None:
