@@ -67,7 +67,11 @@ NAN = 0x7FF8_0000_0000_0001  # a quiet NaN with a payload bit, so no float op ma
 
 
 def _cases():
-    """(name, kind, sizes): each damage twice, frame lengths uniform then mixed, dabi then forward."""
+    """(name, kind, sizes): each kind twice, as variant 0 and 1.
+
+    Variant 0 writes frame records of one length and augments with dabi; variant 1 writes
+    records of mixed lengths and augments with forward.
+    """
     rng = np.random.default_rng(20261021)
     kinds = [(k, v) for k in EPISODE_DAMAGES + DATASET_DAMAGES for v in (0, 1)]
     for i, (kind, variant) in enumerate(kinds):
