@@ -6,16 +6,20 @@ one payload or one manifest field: a frame record's length (the first
 record's, or a later one's, so that a uniform file still tiles), a seq, a header,
 a frame too many, empty frame payloads, a NaN word, a missing payload or a
 FIFO in its place, a flipped byte, a truncated steps file, a zero step count,
-a file name that is not plain, mixed joint counts.  Payload damage is
-restamped (size and crc32) unless the damage is to the stamp's own bytes, so
-the parsers, not the checksums, decide.  A few cases are sound (frame files
+a file name that is not plain, mixed joint counts; then manifest fields: a
+files table that is not an object, an unknown method, a ratio that is not an
+integer, a duplicated source id, an entry of a source the manifest does not
+list, every entry at zero joints, a manifest that is a JSON array.  Payload
+damage is restamped (size and crc32) unless the damage is to the stamp's own
+bytes, so the parsers, not the checksums, decide.  A few cases are sound (frame files
 whose payloads are all empty), and pin that the readers accept them.
 
 Episodes go through `validate`, `stats` and `augment`, datasets through
 `validate` and `stats`.  The exit code, stdout, stderr and `--report` of each
 command, with the case's temporary root replaced by a fixed token, are hashed
-and compared with tests/golden_refused.json.  No message pinned here embeds
-Python's own exception text, which may differ between Python versions.
+and compared with tests/golden_refused.json.  Python's own exception text,
+which may differ between Python versions, is replaced by a fixed token too,
+once the test has checked that the message holds Python's text of that day.
 
 `MULTIRATE_REGEN_GOLDEN=1` rewrites that file.  A digest that changes is a
 change to what a reader accepts, refuses or says, and needs a reason.
@@ -62,8 +66,28 @@ DATASET_DAMAGES = (
     "zero-step-count",
     "name-not-plain",
     "mixed-joints",
+    "files-not-object",
+    "unknown-method",
+    "ratio-not-integer",
+    "duplicate-source-id",
+    "entry-source-unknown",
+    "zero-joints",
+    "manifest-array",
 )
 NAN = 0x7FF8_0000_0000_0001  # a quiet NaN with a payload bit, so no float op made it
+RATIO_TEXT = "2.5"  # a ratio int() refuses
+
+
+def _python_text():
+    """The text of the exception int() raises on RATIO_TEXT: Python's own, not the package's."""
+    try:
+        int(RATIO_TEXT)
+    except ValueError as exc:
+        return repr(exc)
+    raise AssertionError(f"int() took {RATIO_TEXT!r}")
+
+
+PYTHON_TEXT, PYTHON_TOKEN = _python_text(), "<python>"
 
 
 def _cases():
@@ -203,6 +227,21 @@ def _damage_dataset(ds, kind, sizes):
         sub = augment([other], method).episodes[make_offsets(method, sizes["ratio"]).index(offset)]
         _restamp(ds, name, sub.rows.tobytes())
         _edit_manifest(ds, lambda raw: raw["episodes"][entry].update(joints=joints))
+    elif kind == "files-not-object":
+        _edit_manifest(ds, lambda raw: raw.update(files=sorted(raw["files"])))
+    elif kind == "unknown-method":
+        _edit_manifest(ds, lambda raw: raw.update(method="backward"))
+    elif kind == "ratio-not-integer":
+        _edit_manifest(ds, lambda raw: raw.update(ratio=RATIO_TEXT))
+    elif kind == "duplicate-source-id":
+        twice = raw["source_episode_ids"][pick[2] % len(raw["source_episode_ids"])]
+        _edit_manifest(ds, lambda raw: raw["source_episode_ids"].append(twice))
+    elif kind == "entry-source-unknown":
+        _edit_manifest(ds, lambda raw: raw["episodes"][entry].update(source_episode_id="src-9"))
+    elif kind == "zero-joints":
+        _edit_manifest(ds, lambda raw: [e.update(joints=0) for e in raw["episodes"]])
+    elif kind == "manifest-array":
+        (ds / "manifest.json").write_text(json.dumps([raw], indent=2, sort_keys=True) + "\n")
 
 
 def _command(root, argv, capsys):
@@ -213,9 +252,12 @@ def _command(root, argv, capsys):
     rc = main([*argv, "--report", str(report)])
     out, err = capsys.readouterr()
     text = report.read_text() if report.exists() else None
-    for spelling in {str(root.resolve()), str(root)}:
-        out, err = out.replace(spelling, TOKEN), err.replace(spelling, TOKEN)
-        text = text and text.replace(spelling, TOKEN)
+    for spelling, token in [*((s, TOKEN) for s in {str(root.resolve()), str(root)}),
+                            # as printed, and as the report's JSON escapes it
+                            (PYTHON_TEXT, PYTHON_TOKEN),
+                            (json.dumps(PYTHON_TEXT)[1:-1], PYTHON_TOKEN)]:
+        out, err = out.replace(spelling, token), err.replace(spelling, token)
+        text = text and text.replace(spelling, token)
     return [rc, out, err, text]
 
 
@@ -257,6 +299,8 @@ def test_refused_damage_outputs_match_their_golden_digests(tmp_path, capsys):
         for command, result in results.items():
             # the damage is refused by a reader, so no command gets past it
             assert result[0] == (0 if sound else 1), (name, command, result)
+            # the one message that embeds Python's text embeds today's
+            assert (PYTHON_TOKEN in f"{result[1:]}") == (kind == "ratio-not-integer"), result
             blob = json.dumps(result).encode()
             digests[f"{name}/{command}"] = hashlib.sha256(blob).hexdigest()
             outputs[f"{name}/{command}"] = result
