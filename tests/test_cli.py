@@ -786,9 +786,9 @@ def test_installed_console_entrypoint_matches_declaration():
     assert installed == _declared_scripts()
 
 
-def _validate_rows(out, tmp_path):
+def _validate_rows(out, tmp_path, *extra):
     report = tmp_path / "report.json"
-    rc = main(["validate", str(out), "--report", str(report)])
+    rc = main(["validate", str(out), "--report", str(report), *extra])
     return rc, [
         (r["name"], r["status"], r["detail"]) for r in json.loads(report.read_text())["checks"]
     ]
@@ -933,6 +933,61 @@ def test_validate_source_without_sub_episodes(tmp_path, capsys):
         f"MultirateError: source ep-0: offsets [{doubled}] != expected "
         "[-4, -3, -2, -1, 0, 1, 2, 3, 4, 5]",
     )
+
+
+CLEAN_DABI_ROWS = [
+    ("manifest-parse", "ok", "kind=dataset method=dabi"),
+    ("checksums", "ok", "20 files"),
+    ("read", "ok", "20 sub-episodes from 2 sources"),
+    ("offset-window", "ok", "window -4..5 per source"),
+    ("ordering", "ok", "source-major, offsets ascending"),
+    ("re-derivation", "ok", "re-derived 20 sub-episodes from 2 sources"),
+    ("coverage", "ok", "coverage exact for 2 sources"),
+]
+
+
+def test_validate_falls_through_a_damaged_nearer_source_to_a_whole_one(
+    tmp_path, monkeypatch, capsys
+):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    # a copy of ep-0 under --sources, searched before the episodes beside the dataset
+    copy = tmp_path / "copies" / "ep-0"
+    shutil.copytree(root / "ep-0", copy)
+    data = bytearray((copy / "follower.f64").read_bytes())
+    data[0] ^= 1
+    (copy / "follower.f64").write_bytes(bytes(data))
+    tried = []
+    read_episode = cli.read_episode
+    monkeypatch.setattr(cli, "read_episode", lambda path, **kw: (
+        tried.append(Path(path)), read_episode(path, **kw))[1])
+    rc, rows = _validate_rows(out, tmp_path, "--sources", str(copy.parent))
+    assert (rc, rows) == (0, CLEAN_DABI_ROWS)
+    assert tried == [copy, root / "ep-0", root / "ep-1"]
+
+
+def test_validate_skips_a_directory_beside_the_dataset_whose_manifest_is_not_json(
+    tmp_path, capsys
+):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    (tmp_path / "junk").mkdir()
+    (tmp_path / "junk" / "manifest.json").write_text("{not json")
+    assert _validate_rows(out, tmp_path) == (0, CLEAN_DABI_ROWS)
+
+
+def test_validate_sources_naming_a_regular_file_adds_no_candidate(tmp_path, capsys):
+    root, eps = _write_episode_tree(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
+    (tmp_path / "notes.txt").write_text("not a directory\n")
+    capsys.readouterr()
+    assert _validate_rows(out, tmp_path, "--sources", str(tmp_path / "notes.txt")) == (
+        0, CLEAN_DABI_ROWS
+    )
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_validate_accepts_the_manifest_path(tmp_path, capsys):
