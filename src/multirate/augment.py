@@ -77,18 +77,19 @@ def gather_steps(
         yield rows
 
 
-def iter_steps(episode: Episode, offsets: Sequence[int]) -> Iterator[np.ndarray]:
-    """The steps of each offset's sub-episode, one offset at a time.
-
-    Yields, for each of `offsets` in order, a (frame_count,) array of
-    step_dtype(joints) of its own, laid out as in slice_episode.  A caller
-    that drops each array before taking the next holds one sub-episode's
-    steps, never all of the source's.
-    """
+def _sub_episodes(episode: Episode, offsets: Sequence[int]) -> list[AlignedEpisode]:
+    """The aligned sub-episode of `episode` at each of `offsets`, in order, as slice_episode's."""
     _, clipped = source_indices(
         offsets, episode.ratio, episode.frame_count, episode.sample_count
     )
-    yield from gather_steps(episode, clipped)
+    return [
+        AlignedEpisode(
+            rows=rows,
+            cameras=episode.camera_ids,
+            provenance=Provenance(source_episode_id=episode.episode_id, offset=offset),
+        )
+        for offset, rows in zip(offsets, gather_steps(episode, clipped))
+    ]
 
 
 def slice_episode(episode: Episode, offset: int) -> AlignedEpisode:
@@ -99,21 +100,18 @@ def slice_episode(episode: Episode, offset: int) -> AlignedEpisode:
     both flattened joint-major to length 3 * joints.  The result always has
     exactly frame_count steps regardless of clamping.
     """
-    return AlignedEpisode(
-        rows=next(iter_steps(episode, (offset,))),
-        cameras=episode.camera_ids,
-        provenance=Provenance(source_episode_id=episode.episode_id, offset=offset),
-    )
+    return _sub_episodes(episode, (offset,))[0]
 
 
 def check_batch(episodes: Sequence[Episode], method: Method) -> DatasetManifest:
     """The manifest of augmenting `episodes` with `method`, after the batch checks.
 
     Raises EmptyInput for an empty batch, MixedRatio for mixed rate ratios,
-    and ValidationFailure for duplicate ids or mixed joint counts; the last
-    is worded as AugmentedDataset words it.  Nothing is gathered: only each
-    episode's episode_id, ratio and joints are read, so stand-ins that carry
-    those three do for episodes already dropped.
+    and ValidationFailure for duplicate ids.  Nothing is gathered: only each
+    episode's episode_id and ratio are read, so stand-ins that carry those two
+    do for episodes already dropped.  Mixed joint counts are refused by
+    source_groups, which AugmentedDataset and write_dataset run on the
+    sub-episodes.
     """
     episodes = list(episodes)
     if not episodes:
@@ -121,38 +119,23 @@ def check_batch(episodes: Sequence[Episode], method: Method) -> DatasetManifest:
     ratios = sorted({ep.ratio for ep in episodes})
     if len(ratios) != 1:
         raise MixedRatio(f"episodes mix rate ratios {ratios}")
-    ratio = ratios[0]
     ids = [ep.episode_id for ep in episodes]
     if len(set(ids)) != len(ids):
         raise ValidationFailure(f"duplicate episode ids in batch: {ids}")
-    for ep in episodes:
-        if ep.joints != episodes[0].joints:
-            raise ValidationFailure(
-                f"source {ep.episode_id} offset {make_offsets(method, ratio)[0]}: "
-                f"{ep.joints} joints, but the first sub-episode has {episodes[0].joints}"
-            )
-    return DatasetManifest(method=method, ratio=ratio, source_episode_ids=tuple(ids))
+    return DatasetManifest(method=method, ratio=ratios[0], source_episode_ids=tuple(ids))
 
 
 def augment(episodes: Sequence[Episode], method: Method) -> AugmentedDataset:
     """Expand a batch of episodes into aligned sub-episodes.
 
-    The batch must pass check_batch.  Output order is source-major, offsets
-    ascending within each source.
+    The batch must pass check_batch, and its sub-episodes source_groups.
+    Output order is source-major, offsets ascending within each source.
     """
     episodes = list(episodes)
     manifest = check_batch(episodes, method)
     offsets = make_offsets(method, manifest.ratio)
     return AugmentedDataset(
-        episodes=tuple(
-            AlignedEpisode(
-                rows=rows,
-                cameras=ep.camera_ids,
-                provenance=Provenance(source_episode_id=ep.episode_id, offset=offset),
-            )
-            for ep in episodes
-            for offset, rows in zip(offsets, iter_steps(ep, offsets))
-        ),
+        episodes=tuple(sub for ep in episodes for sub in _sub_episodes(ep, offsets)),
         manifest=manifest,
     )
 
@@ -187,25 +170,17 @@ def evenness_report(dataset: AugmentedDataset, episode: Episode) -> CoverageRepo
     """Tally which high-rate samples of `episode` the dataset references.
 
     Raises ProvenanceMismatch when the dataset does not actually derive
-    from the episode: id absent from the manifest, or as source_coverage.
+    from the episode: id absent from the manifest, or as stored_indices.
     """
     if episode.episode_id not in dataset.manifest.source_episode_ids:
         raise ProvenanceMismatch(
             f"episode {episode.episode_id!r} is not a source of this dataset"
         )
-    return source_coverage(dataset.manifest, dataset.by_source[episode.episode_id], episode)
-
-
-def source_coverage(
-    manifest: DatasetManifest, subs: Sequence[AlignedEpisode], episode: Episode
-) -> CoverageReport:
-    """evenness_report over one source's sub-episodes `subs`, in stored order.
-
-    Raises ProvenanceMismatch as stored_indices does.
-    """
+    subs = dataset.by_source[episode.episode_id]
     return CoverageReport(
         counts=np.bincount(
-            stored_indices(manifest, subs, episode).ravel(), minlength=episode.sample_count
+            stored_indices(dataset.manifest, subs, episode).ravel(),
+            minlength=episode.sample_count,
         ),
         clamped_steps=count_clamped(subs, episode.ratio),
     )

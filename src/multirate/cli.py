@@ -166,9 +166,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     def sub_episodes() -> Iterator[AlignedEpisode]:
         for d, man in dirs:
             ep = read_episode(d, manifest=man)
-            sources.append(
-                SimpleNamespace(episode_id=ep.episode_id, ratio=ep.ratio, joints=ep.joints)
-            )
+            sources.append(SimpleNamespace(episode_id=ep.episode_id, ratio=ep.ratio))
             subs = augment([ep], method).episodes
             del ep
             yield from subs
