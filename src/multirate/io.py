@@ -563,13 +563,13 @@ class DatasetReader:
             raise failures[first]
 
 
-def read_dataset(in_dir: str | Path, *, manifest: dict | None = None) -> AugmentedDataset:
+def read_dataset(in_dir: str | Path) -> AugmentedDataset:
     """Load a dataset directory, verifying checksums, counts, and invariants.
 
-    Accepts either the directory or its manifest.json path, and the parsed
-    manifest when the caller already holds it.  Fails as DatasetReader does.
+    Accepts either the directory or its manifest.json path.  Fails as
+    DatasetReader does.
     """
-    reader = DatasetReader(in_dir, manifest=manifest)
+    reader = DatasetReader(in_dir)
     subs = {}
     for _, part in reader:
         subs.update(part)
