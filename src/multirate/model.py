@@ -513,10 +513,11 @@ def source_groups(
 class AugmentedDataset:
     """All aligned sub-episodes produced from one batch of source episodes.
 
-    Cardinality is fixed by the manifest: one sub-episode per source and
-    offset of the method's window (make_offsets), so downsample keeps one per
-    source, forward and dabi keep `ratio`.  Sub-episodes are ordered
-    source-major, then by ascending offset, and all have one joint count.
+    Construction checks what source_groups checks: the count (sources times
+    the offsets of the method's window, make_offsets), a manifest source for
+    each sub-episode, and one joint count.  Which offsets each source holds,
+    and their order (augment's is source-major, offsets ascending), are left
+    to validate's offset-window and ordering rows.
 
     `by_source` maps each manifest source id, in manifest order, to its
     sub-episodes in stored order (an empty tuple when it has none).
