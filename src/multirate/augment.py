@@ -192,20 +192,12 @@ def stored_indices(
     """The source indices one source's sub-episodes `subs` store, once they fit `episode`.
 
     Returns an int64 (len(subs), frame_count) array, in stored order.  Raises
-    ProvenanceMismatch on a ratio disagreement, sub-episode offsets or step
-    counts inconsistent with the declared method, or an index outside the
-    episode.
+    ProvenanceMismatch on a ratio disagreement, a step count other than the
+    episode's frame count, or an index outside the episode.
     """
     ratio = episode.ratio
     if manifest.ratio != ratio:
         raise ProvenanceMismatch(f"dataset ratio {manifest.ratio} != episode ratio {ratio}")
-    expected = make_offsets(manifest.method, ratio)
-    got = tuple(ep.provenance.offset for ep in subs)
-    if tuple(sorted(got)) != expected:
-        raise ProvenanceMismatch(
-            f"sub-episode offsets {sorted(got)} do not match method "
-            f"{manifest.method.value} at ratio {ratio} (expected {list(expected)})"
-        )
     t_len = episode.sample_count
     for sub in subs:
         if sub.step_count != episode.frame_count:

@@ -289,7 +289,6 @@ def _validate_dataset(
 ) -> None:
     reader = DatasetReader(dataset_dir, manifest=manifest)
     candidates = None
-    offsets: dict[str, list[int]] = {}  # each source's, sorted
     failed: dict[str, str] = {}  # each source row's first failure, in source order
     located = rederived = 0
     try:
@@ -297,7 +296,6 @@ def _validate_dataset(
         # next; the rows catch their own errors, so an error here is the reader's
         for eid, part in reader:
             subs = tuple(part.values())
-            offsets[eid] = sorted(sub.provenance.offset for sub in subs)
             if candidates is None:
                 ids = reader.manifest.source_episode_ids
                 candidates = _source_candidates(dataset_dir, args.sources, ids)
@@ -337,21 +335,12 @@ def _validate_dataset(
         "read", "ok",
         f"{len(reader.entries)} sub-episodes from {len(ds.source_episode_ids)} sources",
     )
-    expected_offsets = make_offsets(ds.method, ds.ratio)
-
-    def _offsets() -> str:
-        for src, got in offsets.items():
-            if tuple(got) != expected_offsets:
-                raise MultirateError(
-                    f"source {src}: offsets {got} != expected {list(expected_offsets)}"
-                )
-        return f"window {expected_offsets[0]}..{expected_offsets[-1]} per source"
-
-    checks.run("offset-window", _offsets)
+    window = make_offsets(ds.method, ds.ratio)  # each source's offsets, as the reader checked
+    checks.add("offset-window", "ok", f"window {window[0]}..{window[-1]} per source")
 
     def _ordering() -> str:
-        got = [(src, off) for src, off, _ in reader.entries]
-        if got != [(src, off) for src in ds.source_episode_ids for off in expected_offsets]:
+        got = [(e.source, e.offset) for e in reader.entries]
+        if got != [(src, off) for src in ds.source_episode_ids for off in window]:
             raise MultirateError("sub-episodes are not source-major, offset-ascending")
         return "source-major, offsets ascending"
 
@@ -361,7 +350,7 @@ def _validate_dataset(
         checks.add("re-derivation", "skip", "no source episodes located")
         checks.add("coverage", "skip", "no source episodes located")
         return
-    missing = len(offsets) - located
+    missing = len(ds.source_episode_ids) - located
     note = f"re-derived {rederived} sub-episodes from {located} sources"
     if missing:
         note += f" ({missing} sources not located)"
@@ -401,7 +390,7 @@ def _coverage(
 ) -> None:
     """Fail unless the stored indices use each sample and clamp as often as the method does."""
     stored = stored_indices(manifest, subs, ep)
-    # the stored offsets are the method's (stored_indices checks), so `raw` and `clipped` hold
+    # the stored offsets are the method's (source_groups checks), so `raw` and `clipped` hold
     # the method's indices, in stored order
     t_len = ep.sample_count
     counts = np.bincount(stored.ravel(), minlength=t_len)
@@ -475,9 +464,9 @@ def _dataset_stats(reader: DatasetReader) -> dict:
     columns, clamped = None, 0
     for _, part in groups:
         if columns is None:  # a source is handed over only while the declared counts are sound
-            starts = np.cumsum((0, *reader.step_counts))
+            starts = np.cumsum([0] + [e.step_count for e in reader.entries])
             try:
-                columns = np.empty((reader.entries[0][2] * CHANNELS_PER_JOINT, starts[-1]))
+                columns = np.empty((reader.entries[0].joints * CHANNELS_PER_JOINT, starts[-1]))
             except MemoryError:
                 # more steps declared than memory holds: the rest of the pass says
                 # whether the manifest declares steps its files do not hold
@@ -487,8 +476,7 @@ def _dataset_stats(reader: DatasetReader) -> dict:
         # each payload goes into its place among the observation columns as it arrives
         for i in part:
             columns[:, starts[i] : starts[i + 1]] = part[i].observation.T
-        if part:
-            clamped += count_clamped(tuple(part.values()), reader.manifest.ratio)
+        clamped += count_clamped(tuple(part.values()), reader.manifest.ratio)
         del part
     ds = reader.manifest
     return {
@@ -499,9 +487,9 @@ def _dataset_stats(reader: DatasetReader) -> dict:
         "sources": len(ds.source_episode_ids),
         "sub_episodes": len(reader.entries),
         "steps": columns.shape[1],
-        "joints": reader.entries[0][2],
+        "joints": reader.entries[0].joints,
         "clamped_steps": clamped,
-        "offsets": dict(Counter(str(off) for _, off, _ in reader.entries)),
+        "offsets": dict(Counter(str(e.offset) for e in reader.entries)),
         "observed": _column_summary(columns),
     }
 

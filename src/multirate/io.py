@@ -16,7 +16,8 @@ import os
 import shutil
 import stat
 import zlib
-from collections.abc import Callable, Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from .model import (
     Method,
     Provenance,
     RobotStream,
+    _json_int,
     is_plain_name,
     source_groups,
     step_dtype,
@@ -369,11 +371,11 @@ def read_episode(
         payloads = verify_checksums(in_dir, raw)
     try:
         episode_id = str(raw["episode_id"])
-        robot_rate_hz = int(raw["robot_rate_hz"])
-        frame_rate_hz = int(raw["frame_rate_hz"])
-        joints = int(raw["joints"])
-        sample_count = int(raw["sample_count"])
-        frame_count = int(raw["frame_count"])
+        robot_rate_hz = _json_int(raw, "robot_rate_hz")
+        frame_rate_hz = _json_int(raw, "frame_rate_hz")
+        joints = _json_int(raw, "joints")
+        sample_count = _json_int(raw, "sample_count")
+        frame_count = _json_int(raw, "frame_count")
         cameras = tuple(raw["cameras"])
         meta = {str(k): str(v) for k, v in raw.get("meta", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -394,36 +396,40 @@ def read_episode(
     )
 
 
-def _parse_entry(
-    directory: Path, files: dict, entry: object, payload: Callable[[str], bytes | None]
-) -> AlignedEpisode | None:
-    """The sub-episode of one `episodes` entry, over the bytes `payload` gives for its file.
+# one `episodes` entry of a dataset manifest, as parsed; source_groups checks the first three
+_Entry = namedtuple("_Entry", "source offset joints step_count file cameras")
 
-    None when `payload` gives none: the file failed its checks, which is reported instead.
-    """
+
+def _parse_entry(directory: Path, files: dict, entry: object) -> _Entry:
+    """The fields of one `episodes` entry, checked before its file is read."""
     try:
-        # only declared names, all plain, are read: path-like names fail here
-        name = str(entry["file"])
-        step_count, joints = int(entry["step_count"]), int(entry["joints"])
-        if name not in files:
-            raise ParseFailure(f"{directory}/manifest.json: {name} is not declared in files")
-        data = payload(name)
-        if data is None:
-            return None
-        dtype = step_dtype(joints)
-        if len(data) != step_count * dtype.itemsize:
-            raise ValidationFailure(
-                f"{directory / name}: {len(data)} bytes, manifest implies "
-                f"{step_count * dtype.itemsize} ({step_count} steps of {dtype.itemsize} bytes)"
-            )
-        rows = np.frombuffer(data, dtype=dtype)
-        cameras = tuple(str(c) for c in entry["cameras"])
-        prov = Provenance(
-            source_episode_id=str(entry["source_episode_id"]), offset=int(entry["offset"])
+        parsed = _Entry(
+            source=str(entry["source_episode_id"]),
+            offset=_json_int(entry, "offset"),
+            joints=_json_int(entry, "joints"),
+            step_count=_json_int(entry, "step_count"),
+            file=str(entry["file"]),
+            cameras=tuple(str(c) for c in entry["cameras"]),
         )
+        step_dtype(parsed.joints)  # a joint count no step can have: below one, or too large
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"{directory}/manifest.json: bad episode entry: {exc!r}") from exc
-    return AlignedEpisode(rows=rows, cameras=cameras, provenance=prov)
+    # only declared names, all plain, are read: path-like names fail here
+    if parsed.file not in files:
+        raise ParseFailure(f"{directory}/manifest.json: {parsed.file} is not declared in files")
+    return parsed
+
+
+def _entry_episode(directory: Path, entry: _Entry, data: bytes) -> AlignedEpisode:
+    """The sub-episode `entry` declares, over its file's verified bytes `data`."""
+    dtype, steps = step_dtype(entry.joints), entry.step_count
+    if len(data) != steps * dtype.itemsize:
+        raise ValidationFailure(
+            f"{directory / entry.file}: {len(data)} bytes, manifest implies "
+            f"{steps * dtype.itemsize} ({steps} steps of {dtype.itemsize} bytes)"
+        )
+    prov = Provenance(source_episode_id=entry.source, offset=entry.offset)
+    return AlignedEpisode(np.frombuffer(data, dtype=dtype), entry.cameras, prov)
 
 
 def write_dataset(dataset: AugmentedDataset, out_dir: str | Path, overwrite: bool = False) -> Path:
@@ -481,21 +487,22 @@ class DatasetReader:
     error that reading the whole dataset raises.  In order of precedence: the
     first failing declared file by name, the manifest's fields, the first
     failing entry in manifest order, then the dataset's own rules (entry
-    count, unknown source, joint count).  Nothing more is yielded once the
-    pass is sure to fail, so every source handed over is well formed.
+    count, unknown source, joint count, each source's offset window).  Each
+    entry is parsed once, before any payload is read.  Nothing more is
+    yielded once the pass is sure to fail, so every source handed over is
+    well formed.
 
-    `manifest`, `entries` (each entry's source id, offset and joints) and
-    `step_counts` (each entry's), in manifest order, are set before the first
-    source is yielded, as the manifest declares them; a pass that ends without
-    raising confirms them.  After a pass that raised, `bad_file` tells a
+    `manifest` and `entries` (each entry's source, offset, joints, step_count,
+    file and cameras, in manifest order) are set before the first source is
+    yielded, as the manifest declares them; a pass that ends without raising
+    confirms them.  After a pass that raised, `bad_file` tells a
     declared file's defect from the manifest's.
     """
 
     def __init__(self, path: str | Path, *, manifest: dict | None = None) -> None:
         self.directory, self._raw = _open_manifest(path, "dataset", manifest)
         self.manifest: DatasetManifest | None = None
-        self.entries: tuple[tuple[str, int, int], ...] = ()
-        self.step_counts: tuple[int, ...] = ()
+        self.entries: tuple[_Entry, ...] = ()
         self.bad_file = False
 
     def __iter__(self) -> Iterator[tuple[str, dict[int, AlignedEpisode]]]:
@@ -518,7 +525,7 @@ class DatasetReader:
 
         try:
             method = Method.from_name(str(raw["method"]))
-            ratio = int(raw["ratio"])
+            ratio = _json_int(raw, "ratio")
             source_ids = tuple(str(s) for s in raw["source_episode_ids"])
             entries = list(raw["episodes"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -527,30 +534,31 @@ class DatasetReader:
         except MultirateError as exc:
             failures[(2,)] = exc
             entries = []
+        parsed = {}  # each entry that parses, by its place
+        for i, entry in enumerate(entries):
+            try:
+                parsed[i] = _parse_entry(directory, files, entry)
+            except MultirateError as exc:
+                failures[(3, i)] = exc
         groups = None
         if not failures:
+            # the dataset's rules, applied to what the manifest declares
+            self.entries = tuple(parsed.values())
             try:
-                # the dataset's rules, applied to what the manifest declares: a pass that
-                # breaks them, or declares an empty entry, fails by them or by an entry
-                self.entries = tuple(
-                    (str(e["source_episode_id"]), int(e["offset"]), int(e["joints"]))
-                    for e in entries
-                )
-                self.step_counts = tuple(int(e["step_count"]) for e in entries)
                 self.manifest = DatasetManifest(method, ratio, source_ids)
-                groups = source_groups(self.manifest, self.entries)
+                groups = source_groups(self.manifest, [e[:3] for e in self.entries])
             except MultirateError as exc:
                 failures[(4,)] = exc
-            except (KeyError, TypeError, ValueError):
-                pass  # an entry fails to parse: the pass names which
-        clean = groups is not None and min(self.step_counts, default=1) >= 1
-        for source, places in groups.items() if clean else [("", range(len(entries)))]:
+        clean = groups is not None and min(e.step_count for e in self.entries) >= 1
+        for source, places in groups.items() if clean else [("", parsed)]:
             part = {}
             for i in places:
-                try:
-                    part[i] = _parse_entry(directory, files, entries[i], payload)
-                except MultirateError as exc:
-                    failures[(3, i)] = exc
+                data = payload(parsed[i].file)
+                if data is not None:
+                    try:
+                        part[i] = _entry_episode(directory, parsed[i], data)
+                    except MultirateError as exc:
+                        failures[(3, i)] = exc
                 if failures:  # the pass fails: nothing more is kept
                     clean, part = False, {}
             if clean:

@@ -77,6 +77,14 @@ def exact_ratio(robot_rate_hz: int, frame_rate_hz: int) -> int:
     return robot_rate_hz // frame_rate_hz
 
 
+def _json_int(fields: Mapping[str, Any], key: str) -> int:
+    """fields[key] of parsed JSON; TypeError (a ParseFailure to readers) unless it is an int."""
+    value = fields[key]
+    if type(value) is not int:  # a bool (an int subclass), a float (10.0 too) or a string
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def is_plain_name(name: str) -> bool:
     """True when `name` can serve as one file-name component inside a directory."""
     return name not in ("", ".", "..") and "/" not in name and "\\" not in name
@@ -483,18 +491,17 @@ def source_groups(
 
     `entries` holds each sub-episode's (source id, offset, joints), in stored
     order.  Sources come in manifest order, each with its places in stored
-    order (none for a source without sub-episodes).  Raises ValidationFailure
-    unless there are as many sub-episodes as sources times offsets of the
-    method's window, each of a manifest source and all with the first one's
-    joint count.  Which offsets each source holds, and their order, are left
-    to validate.
+    order.  Raises ValidationFailure unless there are sources times offsets of
+    the method's window (make_offsets) sub-episodes, each of a manifest source,
+    all with the first one's joint count, and each source's offsets, sorted,
+    are that window.  Their order is left to validate.
     """
-    per_source = len(make_offsets(manifest.method, manifest.ratio))
-    expected = per_source * len(manifest.source_episode_ids)
+    window = make_offsets(manifest.method, manifest.ratio)
+    expected = len(window) * len(manifest.source_episode_ids)
     if len(entries) != expected:
         raise ValidationFailure(
             f"dataset holds {len(entries)} sub-episodes, expected {expected} "
-            f"({per_source} per source x {len(manifest.source_episode_ids)} sources)"
+            f"({len(window)} per source x {len(manifest.source_episode_ids)} sources)"
         )
     groups: dict[str, list[int]] = {s: [] for s in manifest.source_episode_ids}
     for i, (src, offset, joints) in enumerate(entries):
@@ -506,6 +513,10 @@ def source_groups(
                 f"but the first sub-episode has {entries[0][2]}"
             )
         groups[src].append(i)
+    for src, places in groups.items():
+        offsets = sorted(entries[i][1] for i in places)
+        if tuple(offsets) != window:
+            raise ValidationFailure(f"source {src}: offsets {offsets} != expected {list(window)}")
     return groups
 
 
@@ -515,12 +526,12 @@ class AugmentedDataset:
 
     Construction checks what source_groups checks: the count (sources times
     the offsets of the method's window, make_offsets), a manifest source for
-    each sub-episode, and one joint count.  Which offsets each source holds,
-    and their order (augment's is source-major, offsets ascending), are left
-    to validate's offset-window and ordering rows.
+    each sub-episode, one joint count, and each source's offsets.  Their
+    order (augment's is source-major, offsets ascending) is left to
+    validate's ordering row.
 
     `by_source` maps each manifest source id, in manifest order, to its
-    sub-episodes in stored order (an empty tuple when it has none).
+    sub-episodes in stored order.
     """
 
     episodes: tuple[AlignedEpisode, ...]

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalDivergence, ParseFailure, ValidationFailure
-from .model import FRAME_HEADER, Episode, FrameStream, RobotStream
+from .model import FRAME_HEADER, Episode, FrameStream, RobotStream, _json_int
 
 STATE_LIMIT = 1.0e6  # rad or rad/s; beyond this the run is declared divergent
 
@@ -784,7 +784,7 @@ def sim_config_from_dict(raw: dict) -> SimConfig:
         )
         disturbances = tuple(
             Disturbance(
-                joint=int(d["joint"]),
+                joint=_json_int(d, "joint"),
                 start_s=float(d["start_s"]),
                 end_s=float(d["end_s"]),
                 torque=float(d["torque"]),
@@ -799,10 +799,10 @@ def sim_config_from_dict(raw: dict) -> SimConfig:
         return SimConfig(
             joints=joints,
             gains=gains,
-            robot_rate_hz=int(raw["robot_rate_hz"]),
-            frame_rate_hz=int(raw["frame_rate_hz"]),
+            robot_rate_hz=_json_int(raw, "robot_rate_hz"),
+            frame_rate_hz=_json_int(raw, "frame_rate_hz"),
             duration_s=float(raw["duration_s"]),
-            seed=int(raw.get("seed", 0)),
+            seed=_json_int(raw, "seed") if "seed" in raw else 0,
             dt=None if dt is None else float(dt),
             disturbances=disturbances,
             cameras=tuple(cameras),

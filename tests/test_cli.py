@@ -18,7 +18,7 @@ from multirate.cli import build_parser, main
 from multirate.io import read_dataset, write_dataset, write_episode
 from multirate.augment import augment, source_indices
 from multirate.model import Method, RobotStream
-from multirate.errors import MultirateError, NumericalDivergence, ParseFailure
+from multirate.errors import MultirateError, NumericalDivergence, ParseFailure, ValidationFailure
 from multirate.sim import default_sim_config, load_sim_config, run_simulation, sim_config_to_dict
 
 from conftest import make_episode
@@ -802,6 +802,7 @@ def _rewrite_manifest(out, edit):
 
 
 def test_validate_reports_offset_window_failure(tmp_path, capsys):
+    """A source whose offsets are not the method's window fails the reader, so `read` fails."""
     root, eps = _write_episode_tree(tmp_path)
     out = tmp_path / "ds"
     assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
@@ -813,18 +814,10 @@ def test_validate_reports_offset_window_failure(tmp_path, capsys):
     assert rows == [
         ("manifest-parse", "ok", "kind=dataset method=dabi"),
         ("checksums", "ok", "20 files"),
-        ("read", "ok", "20 sub-episodes from 2 sources"),
-        ("offset-window", "fail",
-         f"MultirateError: source ep-0: offsets {window} != expected {expected}"),
-        ("ordering", "fail",
-         "MultirateError: sub-episodes are not source-major, offset-ascending"),
-        ("re-derivation", "fail",
-         "MultirateError: source ep-0 offset 7: stored steps differ from re-derived steps"),
-        ("coverage", "fail",
-         f"ProvenanceMismatch: sub-episode offsets {window} do not match method dabi "
-         f"at ratio 10 (expected {expected})"),
+        ("read", "fail",
+         f"ValidationFailure: source ep-0: offsets {window} != expected {expected}"),
     ]
-    assert capsys.readouterr().out.endswith("4 check(s) failed\n")
+    assert capsys.readouterr().out.endswith("1 check(s) failed\n")
 
 
 def test_validate_reports_ordering_failure(tmp_path, capsys):
@@ -914,7 +907,7 @@ def test_validate_rederivation_names_the_first_bad_sub_episode(tmp_path, capsys,
 
 
 def test_validate_source_without_sub_episodes(tmp_path, capsys):
-    """ep-1's slots all taken by ep-0: the grouping keeps ep-1 with no sub-episodes."""
+    """ep-1's slots all taken by ep-0: the readers refuse ep-0's window, held twice."""
     root, eps = _write_episode_tree(tmp_path)
     out = tmp_path / "ds"
     assert main(["augment", str(root), "--method", "dabi", "--out", str(out)]) == 0
@@ -924,15 +917,16 @@ def test_validate_source_without_sub_episodes(tmp_path, capsys):
             entry["source_episode_id"] = "ep-0"
 
     _rewrite_manifest(out, relabel)
-    assert [len(subs) for subs in read_dataset(out).by_source.values()] == [20, 0]
+    doubled = ", ".join(f"{off}, {off}" for off in range(-4, 6))
+    message = (
+        f"source ep-0: offsets [{doubled}] != expected [-4, -3, -2, -1, 0, 1, 2, 3, 4, 5]"
+    )
+    with pytest.raises(ValidationFailure) as exc:
+        read_dataset(out)
+    assert str(exc.value) == message
     rc, rows = _validate_rows(out, tmp_path)
     assert rc == 1
-    doubled = ", ".join(f"{off}, {off}" for off in range(-4, 6))
-    assert rows[3] == (
-        "offset-window", "fail",
-        f"MultirateError: source ep-0: offsets [{doubled}] != expected "
-        "[-4, -3, -2, -1, 0, 1, 2, 3, 4, 5]",
-    )
+    assert rows[2:] == [("read", "fail", f"ValidationFailure: {message}")]
 
 
 CLEAN_DABI_ROWS = [

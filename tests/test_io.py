@@ -376,6 +376,17 @@ def test_load_manifest_reports_kind(tmp_path, episode):
     assert load_manifest(ep_dir)["kind"] == "episode"
 
 
+@pytest.mark.parametrize("kind", ["bundle", None])
+def test_load_manifest_refuses_an_unknown_kind(tmp_path, episode, kind):
+    manifest = write_episode(episode, tmp_path / "ep")
+    raw = json.loads(manifest.read_text())
+    raw["kind"] = kind
+    manifest.write_text(json.dumps(raw))
+    with pytest.raises(ParseFailure) as exc:
+        load_manifest(tmp_path / "ep")
+    assert str(exc.value) == f"{manifest}: unknown kind {kind!r}"
+
+
 def test_manifest_has_no_absolute_paths_or_timestamps(tmp_path, episode):
     text = write_episode(episode, tmp_path / "ep").read_text()
     assert str(tmp_path) not in text
@@ -560,6 +571,28 @@ def test_readers_read_each_payload_once(tmp_path, episode, monkeypatch):
     reads.clear()
     read_dataset(ds_dir)
     assert sorted(reads) == sorted(load_manifest(ds_dir)["files"])
+
+
+def test_the_dataset_reader_parses_each_entry_once_before_any_payload(
+    tmp_path, episode, monkeypatch
+):
+    ds_dir = write_dataset(augment([episode], Method.DABI), tmp_path / "ds").parent
+    events = []
+    parse, read = io._parse_entry, io._read_payload
+
+    def parsing(directory, files, entry):
+        events.append(("parse", entry["file"]))
+        return parse(directory, files, entry)
+
+    def reading(directory, name):
+        events.append(("read", name))
+        return read(directory, name)
+
+    monkeypatch.setattr(io, "_parse_entry", parsing)
+    monkeypatch.setattr(io, "_read_payload", reading)
+    read_dataset(ds_dir)
+    files = [e["file"] for e in load_manifest(ds_dir)["episodes"]]
+    assert events == [("parse", f) for f in files] + [("read", f) for f in files]
 
 
 def test_read_episode_keeps_streams_in_the_payload_bytes(tmp_path):

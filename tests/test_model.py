@@ -21,10 +21,11 @@ from multirate.model import (
     Provenance,
     RobotStream,
     exact_ratio,
+    make_offsets,
     step_dtype,
 )
 
-from conftest import make_episode
+from conftest import BASE_FRAME_HZ, make_episode
 
 
 @pytest.mark.parametrize(
@@ -251,6 +252,82 @@ def test_episode_rejects_non_integer_ratio():
         )
 
 
+def _restream(ep, camera, rate_hz=BASE_FRAME_HZ, frames=None):
+    """A stream of `ep`'s first camera's records, under another id, rate or frame count."""
+    return FrameStream(camera, rate_hz, ep.frame_streams[0].records[:frames])
+
+
+# each Episode refusal the others do not reach first: the change to a sound episode's
+# parts, and the message
+EPISODE_REFUSALS = {
+    "empty-id": (lambda ep: {"episode_id": ""}, "episode_id must be non-empty"),
+    "shape-mismatch": (
+        lambda ep: {"follower": RobotStream(ep.follower.rate_hz, ep.follower.data[:-1])},
+        "leader shape (21, 2, 3) != follower shape (20, 2, 3)",
+    ),
+    "no-streams": (lambda ep: {"frame_streams": ()}, "episode needs at least one frame stream"),
+    "duplicate-cameras": (
+        lambda ep: {"frame_streams": (_restream(ep, "a"), _restream(ep, "a"))},
+        "duplicate camera ids: ['a', 'a']",
+    ),
+    "frame-rates-differ": (
+        lambda ep: {"frame_streams": (_restream(ep, "a"), _restream(ep, "b", rate_hz=20))},
+        "frame streams disagree on rate: [10, 20]",
+    ),
+    "frame-counts-differ": (
+        lambda ep: {"frame_streams": (_restream(ep, "a"), _restream(ep, "b", frames=-1))},
+        "frame streams disagree on frame count: [10, 11]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EPISODE_REFUSALS))
+def test_episode_refuses_parts_that_disagree(case):
+    ep = make_episode(t_len=21, joints=2, ratio=2)
+    change, message = EPISODE_REFUSALS[case]
+    parts = dict(episode_id=ep.episode_id, leader=ep.leader, follower=ep.follower,
+                 frame_streams=ep.frame_streams)
+    with pytest.raises(ValidationFailure) as exc:
+        Episode(**{**parts, **change(ep)})
+    assert str(exc.value) == message
+
+
+# the refusals of the model's other constructors and of make_offsets, each with its message
+MODEL_REFUSALS = {
+    "robot-rate-below-one": (
+        lambda: RobotStream(rate_hz=0, data=np.zeros((1, 1, 3))), "robot rate must be >= 1 Hz, got 0"
+    ),
+    "frame-seq-negative": (
+        lambda: FrameRecord(seq=-1, payload=b""), "frame seq must be >= 0, got -1"
+    ),
+    "frame-rate-below-one": (
+        lambda: FrameStream("cam", 0, [FrameRecord(0, b"")]), "frame rate must be >= 1 Hz, got 0"
+    ),
+    "no-frame": (
+        lambda: FrameStream("cam", 10, []), "frame stream must hold at least one frame"
+    ),
+    "packed-not-bytes": (
+        lambda: FrameStream.from_packed("cam", 10, bytearray(16), [16]),
+        "packed frames must be bytes, got bytearray",
+    ),
+    "dataset-ratio-below-one": (
+        lambda: DatasetManifest(Method.DABI, 0, ("a",)), "ratio must be >= 1, got 0"
+    ),
+    "dataset-without-ids": (
+        lambda: DatasetManifest(Method.DABI, 2, ()), "dataset needs at least one source episode id"
+    ),
+    "unknown-method": (lambda: make_offsets("dabi", 2), "unknown method 'dabi'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_REFUSALS))
+def test_model_refusals_name_their_rule(case):
+    build, message = MODEL_REFUSALS[case]
+    with pytest.raises(ValidationFailure) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_episode_equality_is_by_content():
     a = make_episode(t_len=21, joints=2, ratio=2, seed=5)
     b = make_episode(t_len=21, joints=2, ratio=2, seed=5)
@@ -406,20 +483,24 @@ def _sub(source, offset, joints=1):
 
 
 def test_dataset_groups_sub_episodes_by_source():
-    # manifest order b, a, c; c's two slots are taken by a and b
-    subs = [_sub("a", 1), _sub("b", 0), _sub("a", 0), _sub("b", 1), _sub("a", 1), _sub("b", 0)]
+    # manifest order b, a, c; stored interleaved
+    subs = [_sub("a", 1), _sub("b", 0), _sub("c", 1), _sub("a", 0), _sub("b", 1), _sub("c", 0)]
     manifest = DatasetManifest(method=Method.FORWARD, ratio=2, source_episode_ids=("b", "a", "c"))
     ds = AugmentedDataset(episodes=subs, manifest=manifest)
     # keys in manifest order, each source's sub-episodes in stored order
     position = {id(sub): i for i, sub in enumerate(ds.episodes)}
     got = [(src, [position[id(sub)] for sub in group]) for src, group in ds.by_source.items()]
-    assert got == [("b", [1, 3, 5]), ("a", [0, 2, 4]), ("c", [])]
-    assert ds.by_source["c"] == ()
+    assert got == [("b", [1, 4]), ("a", [0, 3]), ("c", [2, 5])]
     with pytest.raises(TypeError):
         ds.by_source["c"] = (subs[0],)
     # a dataset still pickles and deep-copies, with its grouping
     for clone in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
-        assert clone == ds and [len(g) for g in clone.by_source.values()] == [3, 3, 0]
+        assert clone == ds and [len(g) for g in clone.by_source.values()] == [2, 2, 2]
+    # c's two slots taken by a and b: the count passes, b's window does not
+    taken = [_sub("a", 1), _sub("b", 0), _sub("a", 0), _sub("b", 1), _sub("a", 1), _sub("b", 0)]
+    with pytest.raises(ValidationFailure) as exc:
+        AugmentedDataset(episodes=taken, manifest=manifest)
+    assert str(exc.value) == "source b: offsets [0, 0, 1] != expected [0, 1]"
 
 
 def test_dataset_holds_one_joint_count():

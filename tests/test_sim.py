@@ -377,6 +377,71 @@ def test_load_sim_config_errors(tmp_path):
         load_sim_config(missing)
 
 
+SIM_REFUSALS = {
+    "disturbance-joint-negative": (
+        lambda: Disturbance(joint=-1, start_s=0.0, end_s=0.1, torque=0.1),
+        "disturbance joint must be >= 0, got -1",
+    ),
+    "disturbance-window-empty": (
+        lambda: Disturbance(joint=0, start_s=0.2, end_s=0.2, torque=0.1),
+        "disturbance window must satisfy 0 <= start < end, got [0.2, 0.2)",
+    ),
+    "disturbance-torque-infinite": (
+        lambda: Disturbance(joint=0, start_s=0.0, end_s=0.1, torque=math.inf),
+        "disturbance torque must be finite",
+    ),
+    "disturbance-arm-unknown": (
+        lambda: Disturbance(joint=0, start_s=0.0, end_s=0.1, torque=0.1, arm="both"),
+        "disturbance arm must be leader|follower, got 'both'",
+    ),
+    "rate-below-one": (
+        lambda: dataclasses.replace(default_sim_config(), frame_rate_hz=0), "rates must be >= 1 Hz"
+    ),
+    "duration-zero": (
+        lambda: dataclasses.replace(default_sim_config(), duration_s=0.0),
+        "duration must be > 0, got 0.0",
+    ),
+    "cameras-repeated": (
+        lambda: dataclasses.replace(default_sim_config(), cameras=("wrist", "wrist")),
+        "cameras must be unique and non-empty, got ('wrist', 'wrist')",
+    ),
+    "gravity-hook-to-json": (
+        lambda: sim_config_to_dict(dataclasses.replace(
+            default_sim_config(), joints=(JointModel(0.01, gravity_torque_fn=abs),))),
+        "configs with gravity_torque_fn are not serializable",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_REFUSALS))
+def test_sim_config_refusals_name_their_rule(case):
+    build, message = SIM_REFUSALS[case]
+    with pytest.raises(ValidationFailure) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda raw: [raw], "config {path} must hold a JSON object"),
+    (lambda raw: {**raw, "seed": 2.7},
+     "bad simulation config: TypeError('seed must be an integer, got 2.7')"),
+    (lambda raw: {**raw, "robot_rate_hz": 1000.9},
+     "bad simulation config: TypeError('robot_rate_hz must be an integer, got 1000.9')"),
+    (lambda raw: {**raw, "frame_rate_hz": True},
+     "bad simulation config: TypeError('frame_rate_hz must be an integer, got True')"),
+    (lambda raw: {**raw, "disturbances": [{"joint": "0", "start_s": 0.1, "end_s": 0.2,
+                                            "torque": 0.1}]},
+     "bad simulation config: TypeError(\"joint must be an integer, got '0'\")"),
+], ids=["not-an-object", "seed-fraction", "robot-rate-fraction", "frame-rate-true",
+        "joint-string"])
+def test_load_sim_config_refuses(tmp_path, change, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(change(sim_config_to_dict(default_sim_config()))))
+    with pytest.raises(ParseFailure) as exc:
+        load_sim_config(path)
+    assert str(exc.value) == message.format(path=path)
+
+
 # Byte-level pin of run_simulation.  Each digest covers both joint streams,
 # both command traces, every frame payload and repr(max_position_gap), for
 # the default five-joint rig over 0.25 s.  The gravity hook is a polynomial
