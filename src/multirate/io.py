@@ -33,7 +33,6 @@ from .model import (
     AlignedEpisode,
     AugmentedDataset,
     CHANNELS_PER_JOINT,
-    FRAME_HEADER,
     DatasetManifest,
     Episode,
     FrameStream,
@@ -41,6 +40,7 @@ from .model import (
     Provenance,
     RobotStream,
     _json_int,
+    frame_records,
     is_plain_name,
     source_groups,
     step_dtype,
@@ -325,33 +325,15 @@ def _parse_frames(
 ) -> FrameStream:
     name = f"frames_{camera_id}.bin"
     data = _payload(payloads, directory, name)
-    if len(data) >= FRAME_HEADER.size:
-        # when the first record's size tiles the file into its frames, every record may have
-        # that size: from_packed checks each header at its place in one pass
-        record = FRAME_HEADER.size + FRAME_HEADER.unpack_from(data)[1]
-        if record * frame_count == len(data):
-            starts = range(FRAME_HEADER.size, len(data) + 1, record)
-            try:
-                return FrameStream.from_packed(camera_id, rate_hz, data, starts)
-            except ValidationFailure:
-                pass  # records differ in size, or are bad: the walk finds which
-    # a record's place depends on every length before it, so the headers are walked
-    starts = []
-    pos, end = 0, len(data)
-    while pos < end:
-        if pos + FRAME_HEADER.size > end:
-            raise ParseFailure(f"{directory / name}: truncated record header at byte {pos}")
-        seq, length = FRAME_HEADER.unpack_from(data, pos)
-        pos += FRAME_HEADER.size
-        if pos + length > end:
-            raise ParseFailure(f"{directory / name}: record {seq} payload runs past end of file")
-        starts.append(pos)
-        pos += length
+    try:
+        starts, seqs = frame_records(data)
+    except ParseFailure as exc:
+        raise ParseFailure(f"{directory / name}: {exc}") from None
     if len(starts) != frame_count:
         raise ValidationFailure(
             f"{directory / name}: holds {len(starts)} frames, manifest declares {frame_count}"
         )
-    return FrameStream.from_packed(camera_id, rate_hz, data, starts)
+    return FrameStream._located(camera_id, rate_hz, data, starts, seqs)
 
 
 def read_episode(

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import NonIntegerRatio, ValidationFailure
+from .errors import NonIntegerRatio, ParseFailure, ValidationFailure
 
 CHANNELS_PER_JOINT = 3  # angle, velocity, torque
 FRAME_HEADER = struct.Struct("<QQ")  # seq, payload length: the head of one packed frame record
@@ -190,13 +190,46 @@ class FrameRecord:
             raise ValidationFailure(f"frame seq must fit in 64 bits, got {self.seq}")
 
 
+def frame_records(packed: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The payload offset and the seq of every record of a packed frame file (docs/format.md).
+
+    When the first record's size tiles `packed` and every header gives that
+    size, the headers are read through one strided (F, 2) u64 view, with no
+    copy; otherwise they are walked one after another.  Raises ParseFailure for
+    a header cut short or a payload that runs past the end.
+    """
+    end = len(packed)
+    if end >= FRAME_HEADER.size:
+        record = FRAME_HEADER.size + FRAME_HEADER.unpack_from(packed)[1]
+        count = end // record
+        if count * record == end:
+            # row k of this view is the header at byte k * record, inside `packed` by the tiling
+            heads = np.ndarray((count, 2), "<u8", packed, strides=(record, 8))
+            if not np.count_nonzero(heads[:, 1] != record - FRAME_HEADER.size):
+                return FRAME_HEADER.size + record * np.arange(count, dtype=np.int64), heads[:, 0]
+    # a record's place depends on every length before it, so the headers are walked
+    starts, seqs, pos = [], [], 0
+    while pos < end:
+        if pos + FRAME_HEADER.size > end:
+            raise ParseFailure(f"truncated record header at byte {pos}")
+        seq, length = FRAME_HEADER.unpack_from(packed, pos)
+        pos += FRAME_HEADER.size
+        if pos + length > end:
+            raise ParseFailure(f"record {seq} payload runs past end of file")
+        starts.append(pos)
+        seqs.append(seq)
+        pos += length
+    return np.array(starts, dtype=np.int64), np.array(seqs, dtype=np.uint64)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class FrameStream:
     """Uniform low-rate frame recording from one camera, held as its packed frame file.
 
     `packed` is the `frames_<camera_id>.bin` payload exactly as on disk
     (docs/format.md): per frame a FRAME_HEADER (seq, payload length), then the
-    payload.  `starts[k]` is the offset of frame k's payload in `packed`.
+    payload.  `starts[k]` is the offset of frame k's payload in `packed`, as
+    frame_records finds it.
     """
 
     camera_id: str
@@ -205,68 +238,40 @@ class FrameStream:
     starts: np.ndarray = field(repr=False)
 
     def __init__(self, camera_id: str, rate_hz: int, records: Iterable[FrameRecord]) -> None:
-        parts, starts, pos = [], [], 0
+        parts = []
         for rec in records:
             parts += (FRAME_HEADER.pack(rec.seq, len(rec.payload)), rec.payload)
-            pos += FRAME_HEADER.size
-            starts.append(pos)
-            pos += len(rec.payload)
-        self._hold(camera_id, rate_hz, b"".join(parts), starts)
+        packed = b"".join(parts)
+        self._hold(camera_id, rate_hz, packed, *frame_records(packed))
 
     @classmethod
-    def from_packed(
-        cls, camera_id: str, rate_hz: int, packed: bytes, starts: Iterable[int]
-    ) -> "FrameStream":
-        """The stream over a packed frame file whose payloads begin at `starts`; no copy.
+    def from_packed(cls, camera_id: str, rate_hz: int, packed: bytes) -> "FrameStream":
+        """The stream over a packed frame file, kept without a copy."""
+        if not isinstance(packed, bytes):
+            raise ValidationFailure(f"packed frames must be bytes, got {type(packed).__name__}")
+        return cls._located(camera_id, rate_hz, packed, *frame_records(packed))
 
-        `starts` as a range 16, 16 + r, ... whose r-byte records tile `packed`
-        says the records have one length: every header is then read through one
-        strided view, r bytes apart.
-        """
+    @classmethod
+    def _located(
+        cls, camera_id: str, rate_hz: int, packed: bytes, starts: np.ndarray, seqs: np.ndarray
+    ) -> "FrameStream":
+        """The stream over `packed`, whose records frame_records found at `starts` with `seqs`."""
         stream = cls.__new__(cls)
-        stream._hold(camera_id, rate_hz, packed, starts)
+        stream._hold(camera_id, rate_hz, packed, starts, seqs)
         return stream
 
-    def _hold(self, camera_id: str, rate_hz: int, packed: bytes, starts: Iterable[int]) -> None:
+    def _hold(
+        self, camera_id: str, rate_hz: int, packed: bytes, starts: np.ndarray, seqs: np.ndarray
+    ) -> None:
         if not is_plain_name(camera_id):
             raise ValidationFailure(
                 f"camera_id {camera_id!r} must be a non-empty name without path parts"
             )
         if rate_hz < 1:
             raise ValidationFailure(f"frame rate must be >= 1 Hz, got {rate_hz}")
-        # a range's step is the size of every record, when those records tile `packed`
-        record = starts.step if isinstance(starts, range) else 0
-        if record:
-            starts = np.arange(starts.start, starts.stop, record, dtype=np.int64)
-        else:
-            starts = np.array(starts, dtype=np.int64)
-        if starts.ndim != 1 or len(starts) < 1:
+        if len(starts) < 1:
             raise ValidationFailure("frame stream must hold at least one frame")
-        if not isinstance(packed, bytes):
-            raise ValidationFailure(f"packed frames must be bytes, got {type(packed).__name__}")
-        misfit = f"camera {camera_id}: payload starts do not match the packed frame headers"
-        count = len(starts)
-        if record >= FRAME_HEADER.size and starts[0] == FRAME_HEADER.size and (
-            count * record == len(packed)
-        ):
-            # row k of this view is the header at byte k * record, inside `packed` by the tiling
-            at = np.ndarray((count, 2), "<u8", packed, strides=(record, 8))
-            want = record - FRAME_HEADER.size
-        else:
-            # each header sits just before its payload and its length ends where the next begins
-            heads = starts - FRAME_HEADER.size
-            ends = np.append(heads[1:], len(packed))
-            if heads[0] != 0 or (ends < starts).any():
-                raise ValidationFailure(misfit)
-            # row i of this view is the header that would start at byte i, so one take reads
-            # every header; the checks above keep each head inside `packed`
-            at = np.ndarray((len(packed) - FRAME_HEADER.size + 1, 2), "<u8", packed, strides=(1, 8))
-            at = at[heads]
-            want = ends - starts
-        seqs, lengths = at[:, 0], at[:, 1]
-        if np.count_nonzero(lengths != want):
-            raise ValidationFailure(misfit)
-        wrong = seqs != np.arange(count, dtype=np.uint64)
+        wrong = seqs != np.arange(len(seqs), dtype=np.uint64)
         if np.count_nonzero(wrong):
             k = int(wrong.argmax())
             raise ValidationFailure(

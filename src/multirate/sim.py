@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalDivergence, ParseFailure, ValidationFailure
-from .model import FRAME_HEADER, Episode, FrameStream, RobotStream, _json_int
+from .model import Episode, FrameStream, RobotStream, _json_int
 
 STATE_LIMIT = 1.0e6  # rad or rad/s; beyond this the run is declared divergent
 
@@ -710,7 +710,6 @@ def _simulations(
     frames["seq"] = np.arange(frames.shape[1])
     frames["length"] = record["payload"].itemsize
     frames["payload"] = anchors
-    starts = range(FRAME_HEADER.size, frames[0].nbytes + 1, record.itemsize)
     for c, seed_streams, seed_commands, seed_frames in zip(configs, streams, commands, frames):
         angles = seed_streams[..., 0]
         max_gap = np.abs(angles[0] - angles[1]).max()
@@ -720,7 +719,7 @@ def _simulations(
             leader=RobotStream(rate_hz=config.robot_rate_hz, data=seed_streams[0]),
             follower=RobotStream(rate_hz=config.robot_rate_hz, data=seed_streams[1]),
             frame_streams=tuple(
-                FrameStream.from_packed(cam, config.frame_rate_hz, packed, starts)
+                FrameStream.from_packed(cam, config.frame_rate_hz, packed)
                 for cam in config.cameras
             ),
             meta={"task": sched.name, "seed": str(c.seed), "source": "bilateral-sim"},

@@ -763,7 +763,7 @@ def _walked(blob: bytes, path: Path, frame_count: int) -> FrameStream:
         raise ValidationFailure(
             f"{path}: holds {len(starts)} frames, manifest declares {frame_count}"
         )
-    return FrameStream.from_packed("cam", 10, blob, starts)
+    return FrameStream.from_packed("cam", 10, blob)
 
 
 @st.composite
