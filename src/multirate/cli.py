@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from collections import Counter
@@ -229,7 +230,7 @@ def _source_candidates(
             man = load_manifest(path)
         except MultirateError:
             continue
-        eid = str(man.get("episode_id"))
+        eid = man.get("episode_id")
         if man.get("kind") == "episode" and eid in wanted:
             out.setdefault(eid, []).append((path, man))
     return out
@@ -464,11 +465,12 @@ def _dataset_stats(reader: DatasetReader) -> dict:
     columns, clamped = None, 0
     for _, part in groups:
         if columns is None:  # a source is handed over only while the declared counts are sound
-            starts = np.cumsum([0] + [e.step_count for e in reader.entries])
+            # Python ints: a declared total past int64 neither wraps nor turns into a float
+            starts = [0, *itertools.accumulate(e.step_count for e in reader.entries)]
             try:
                 columns = np.empty((reader.entries[0].joints * CHANNELS_PER_JOINT, starts[-1]))
-            except MemoryError:
-                # more steps declared than memory holds: the rest of the pass says
+            except (MemoryError, ValueError):
+                # more steps declared than can be allocated: the rest of the pass says
                 # whether the manifest declares steps its files do not hold
                 for _ in groups:
                     pass

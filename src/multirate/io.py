@@ -40,6 +40,8 @@ from .model import (
     Provenance,
     RobotStream,
     _json_int,
+    _json_str,
+    _json_strs,
     frame_records,
     is_plain_name,
     source_groups,
@@ -178,7 +180,7 @@ def load_manifest(directory: str | Path) -> dict:
     if not isinstance(raw, dict):
         raise ParseFailure(f"{path} must hold a JSON object")
     version = raw.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # not `true`, not `1.0`
         raise ParseFailure(
             f"{path}: unsupported format_version {version!r} (this build reads {FORMAT_VERSION})"
         )
@@ -239,7 +241,7 @@ def _verified(directory: Path, files: dict, name: str) -> bytes:
     if not isinstance(stamp, dict):
         raise ParseFailure(f"{directory}/manifest.json: files entry {name!r} is not an object")
     data = _read_payload(directory, name)
-    if len(data) != stamp.get("bytes"):
+    if type(stamp.get("bytes")) is not int or len(data) != stamp["bytes"]:
         raise ChecksumMismatch(
             f"{directory / name}: size {len(data)} != declared {stamp.get('bytes')}"
         )
@@ -352,14 +354,15 @@ def read_episode(
     if payloads is None:
         payloads = verify_checksums(in_dir, raw)
     try:
-        episode_id = str(raw["episode_id"])
+        episode_id = _json_str(raw, "episode_id")
         robot_rate_hz = _json_int(raw, "robot_rate_hz")
         frame_rate_hz = _json_int(raw, "frame_rate_hz")
         joints = _json_int(raw, "joints")
         sample_count = _json_int(raw, "sample_count")
         frame_count = _json_int(raw, "frame_count")
-        cameras = tuple(raw["cameras"])
-        meta = {str(k): str(v) for k, v in raw.get("meta", {}).items()}
+        cameras = _json_strs(raw, "cameras")
+        meta = raw.get("meta", {})
+        meta = {k: _json_str(meta, k) for k in meta.keys()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad episode manifest: {exc!r}") from exc
     leader, follower = (
@@ -386,12 +389,12 @@ def _parse_entry(directory: Path, files: dict, entry: object) -> _Entry:
     """The fields of one `episodes` entry, checked before its file is read."""
     try:
         parsed = _Entry(
-            source=str(entry["source_episode_id"]),
+            source=_json_str(entry, "source_episode_id"),
             offset=_json_int(entry, "offset"),
             joints=_json_int(entry, "joints"),
             step_count=_json_int(entry, "step_count"),
-            file=str(entry["file"]),
-            cameras=tuple(str(c) for c in entry["cameras"]),
+            file=_json_str(entry, "file"),
+            cameras=_json_strs(entry, "cameras"),
         )
         step_dtype(parsed.joints)  # a joint count no step can have: below one, or too large
     except (KeyError, TypeError, ValueError) as exc:
@@ -506,9 +509,9 @@ class DatasetReader:
                 return None
 
         try:
-            method = Method.from_name(str(raw["method"]))
+            method = Method.from_name(_json_str(raw, "method"))
             ratio = _json_int(raw, "ratio")
-            source_ids = tuple(str(s) for s in raw["source_episode_ids"])
+            source_ids = _json_strs(raw, "source_episode_ids")
             entries = list(raw["episodes"])
         except (KeyError, TypeError, ValueError) as exc:
             failures[(2,)] = ParseFailure(f"{directory}/manifest.json: {exc!r}")

@@ -85,9 +85,36 @@ def _json_int(fields: Mapping[str, Any], key: str) -> int:
     return value
 
 
+def _json_str(fields: Mapping[str, Any], key: str) -> str:
+    """fields[key] of parsed JSON; TypeError (a ParseFailure to readers) unless it is a string."""
+    value = fields[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _json_strs(fields: Mapping[str, Any], key: str) -> tuple[str, ...]:
+    """fields[key] of parsed JSON; TypeError unless it is an array of strings."""
+    value = fields[key]
+    if type(value) is not list or any(type(v) is not str for v in value):
+        raise TypeError(f"{key} must be an array of strings, got {value!r}")
+    return tuple(value)
+
+
+def _json_float(fields: Mapping[str, Any], key: str) -> float:
+    """fields[key] of parsed JSON as a float; TypeError unless it is a number (not a bool)."""
+    value = fields[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def is_plain_name(name: str) -> bool:
-    """True when `name` can serve as one file-name component inside a directory."""
-    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+    """True when `name` is a string that can serve as one file-name component in a directory."""
+    return (
+        isinstance(name, str) and name not in ("", ".", "..") and "/" not in name
+        and "\\" not in name
+    )
 
 
 @functools.lru_cache(maxsize=None)

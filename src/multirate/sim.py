@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalDivergence, ParseFailure, ValidationFailure
-from .model import Episode, FrameStream, RobotStream, _json_int
+from .model import Episode, FrameStream, RobotStream, _json_float, _json_int, _json_str
 
 STATE_LIMIT = 1.0e6  # rad or rad/s; beyond this the run is declared divergent
 
@@ -772,26 +772,27 @@ def sim_config_from_dict(raw: dict) -> SimConfig:
     try:
         joints = tuple(
             JointModel(
-                inertia=float(j["inertia"]),
-                viscous_friction=float(j.get("viscous_friction", 0.0)),
+                inertia=_json_float(j, "inertia"),
+                viscous_friction=(
+                    _json_float(j, "viscous_friction") if "viscous_friction" in j else 0.0
+                ),
             )
             for j in raw["joints"]
         )
         gains_raw = raw.get("gains", {})
         gains = ControllerGains(
-            **{k: float(v) for k, v in gains_raw.items()}
+            **{k: _json_float(gains_raw, k) for k in gains_raw.keys()}
         )
         disturbances = tuple(
             Disturbance(
                 joint=_json_int(d, "joint"),
-                start_s=float(d["start_s"]),
-                end_s=float(d["end_s"]),
-                torque=float(d["torque"]),
-                arm=str(d.get("arm", "follower")),
+                start_s=_json_float(d, "start_s"),
+                end_s=_json_float(d, "end_s"),
+                torque=_json_float(d, "torque"),
+                arm=_json_str(d, "arm") if "arm" in d else "follower",
             )
             for d in raw.get("disturbances", [])
         )
-        dt = raw.get("dt")
         cameras = raw.get("cameras", ["overhead", "wrist"])
         if not isinstance(cameras, list):
             raise TypeError(f"cameras must be a list, got {type(cameras).__name__}")
@@ -800,13 +801,13 @@ def sim_config_from_dict(raw: dict) -> SimConfig:
             gains=gains,
             robot_rate_hz=_json_int(raw, "robot_rate_hz"),
             frame_rate_hz=_json_int(raw, "frame_rate_hz"),
-            duration_s=float(raw["duration_s"]),
+            duration_s=_json_float(raw, "duration_s"),
             seed=_json_int(raw, "seed") if "seed" in raw else 0,
-            dt=None if dt is None else float(dt),
+            dt=None if raw.get("dt") is None else _json_float(raw, "dt"),
             disturbances=disturbances,
             cameras=tuple(cameras),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad simulation config: {exc!r}") from exc
 
 

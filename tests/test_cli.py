@@ -508,6 +508,19 @@ def test_simulate_config_of_wrong_shape_is_a_parse_failure(tmp_path, capsys):
     assert "error: ParseFailure: bad simulation config" in err and "Traceback" not in err
 
 
+def test_simulate_config_with_a_camera_that_is_not_a_string_fails_cleanly(tmp_path, capsys):
+    raw = sim_config_to_dict(default_sim_config())
+    raw.update(cameras=["overhead", 5], duration_s=0.02)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    rc = main(["simulate", "--config", str(cfg), "--trajectory", "hold",
+               "--out", str(tmp_path / "eps")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValidationFailure: camera_id 5 must be a non-empty name without path parts\n"
+    )
+
+
 def test_validate_missing_manifest(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -667,12 +680,33 @@ def _late_entry_declaring_more_steps_than_memory_holds(out):
                     f"{10**15 * 104} ({10**15} steps of 104 bytes)")
 
 
+def _last_entry_declaring_more_steps_than_an_array_holds(out):
+    _rewrite_manifest(out, lambda raw: raw["episodes"][19].update(step_count=10**18))
+    return "read", (f"ValidationFailure: {{ds}}/steps-00019.bin: 728 bytes, manifest implies "
+                    f"{10**18 * 104} ({10**18} steps of 104 bytes)")
+
+
+def _two_entries_whose_steps_sum_past_int64(out):
+    _rewrite_manifest(out, lambda raw: [e.update(step_count=2**62) for e in raw["episodes"][18:]])
+    return "read", (f"ValidationFailure: {{ds}}/steps-00018.bin: 728 bytes, manifest implies "
+                    f"{2**62 * 104} ({2**62} steps of 104 bytes)")
+
+
+def _entry_declaring_steps_past_uint64(out):
+    _rewrite_manifest(out, lambda raw: raw["episodes"][12].update(step_count=10**19))
+    return "read", (f"ValidationFailure: {{ds}}/steps-00012.bin: 728 bytes, manifest implies "
+                    f"{10**19 * 104} ({10**19} steps of 104 bytes)")
+
+
 @pytest.mark.parametrize("damage", [
     _nan_in_entry_5_and_one_joint_in_entry_3,
     _flipped_payload_and_edited_step_count,
     _damaged_payload_after_a_missing_one,
     _unreferenced_payload_with_a_wrong_crc,
     _late_entry_declaring_more_steps_than_memory_holds,
+    _last_entry_declaring_more_steps_than_an_array_holds,
+    _two_entries_whose_steps_sum_past_int64,
+    _entry_declaring_steps_past_uint64,
 ])
 def test_the_first_failure_by_precedence_is_the_one_reported(tmp_path, capsys, damage):
     """A declared file's defect (first by name) before the manifest's, an entry's before the
@@ -690,6 +724,27 @@ def test_the_first_failure_by_precedence_is_the_one_reported(tmp_path, capsys, d
     capsys.readouterr()
     assert main(["stats", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(ds=out)}\n")
+
+
+def test_stats_raises_its_allocation_error_when_the_dataset_is_sound(tmp_path, monkeypatch):
+    """Every declared step is there but the columns cannot be allocated: once the reader's
+    pass has found nothing wrong, the allocation's own error is raised."""
+    out = _seven_frame_dataset(tmp_path)
+    finished = []
+
+    class Reader(io.DatasetReader):
+        def __iter__(self):
+            yield from super().__iter__()
+            finished.append(True)
+
+    def empty(*args, **kwargs):
+        raise MemoryError("cannot allocate the observation columns")
+
+    monkeypatch.setattr(cli, "DatasetReader", Reader)
+    monkeypatch.setattr(cli.np, "empty", empty)
+    with pytest.raises(MemoryError, match="cannot allocate the observation columns"):
+        main(["stats", str(out)])
+    assert finished == [True]
 
 
 def test_stats_episode(tmp_path, capsys):
@@ -1382,6 +1437,18 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path, unbuffered):
     os.close(read_end)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err.decode()) == (1, "")
+
+
+def test_a_broken_pipe_on_a_replaced_stdout_is_raised(monkeypatch, capsys):
+    """Only the process's own stdout is pointed at devnull; a stream put in its place (a
+    caller capturing the output) gets the error back."""
+    def broken(args):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_stats", broken)
+    assert sys.stdout is not sys.__stdout__
+    with pytest.raises(BrokenPipeError):
+        main(["stats", "anything"])
 
 
 def test_readme_flow_is_byte_identical_in_two_interpreters(tmp_path):

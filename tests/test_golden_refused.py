@@ -13,7 +13,10 @@ list, every entry at zero joints, a manifest that is a JSON array.  Kinds
 added later come after these, so that no earlier case's name or draws move:
 a dataset ratio with a fraction and one written as a float, an entry's joints
 with a fraction and as `true`, an entry's offset of -0.1, a source stored
-twice and another not at all, and an episode robot rate with a fraction.  Payload
+twice and another not at all, and an episode robot rate with a fraction; then
+JSON values of the wrong kind: a camera id that is a number (its file renamed to
+match), a camera list that is a string, a null episode id, a format_version of
+`true`, a stamp size written as a float, and an entry source id that is null.  Payload
 damage is restamped (size and crc32) unless the damage is to the stamp's own
 bytes, so the parsers, not the checksums, decide.  A few cases are sound (frame files
 whose payloads are all empty), and pin that the readers accept them.
@@ -87,7 +90,16 @@ LATER_DAMAGES = (
     "source-stored-twice",
     "robot-rate-fraction",
 )
-EPISODE_KINDS = EPISODE_DAMAGES + ("robot-rate-fraction",)
+# added after the kinds above, in this order
+JSON_KIND_DAMAGES = (
+    "camera-not-string",
+    "cameras-string",
+    "episode-id-null",
+    "format-version-true",
+    "stamp-bytes-float",
+    "entry-source-not-string",
+)
+EPISODE_KINDS = EPISODE_DAMAGES + ("robot-rate-fraction",) + JSON_KIND_DAMAGES[:-1]
 NAN = 0x7FF8_0000_0000_0001  # a quiet NaN with a payload bit, so no float op made it
 
 
@@ -98,7 +110,11 @@ def _cases():
     records of mixed lengths and augments with forward.
     """
     rng = np.random.default_rng(20261021)
-    kinds = [(k, v) for k in EPISODE_DAMAGES + DATASET_DAMAGES + LATER_DAMAGES for v in (0, 1)]
+    kinds = [
+        (k, v)
+        for k in EPISODE_DAMAGES + DATASET_DAMAGES + LATER_DAMAGES + JSON_KIND_DAMAGES
+        for v in (0, 1)
+    ]
     for i, (kind, variant) in enumerate(kinds):
         ratio = int(rng.integers(2, 7))
         frames = 1 if "one-frame" in kind else int(rng.integers(2, 7))
@@ -188,6 +204,29 @@ def _damage_episode(ep_dir, kind, sizes):
     elif kind == "robot-rate-fraction":
         _edit_manifest(ep_dir, lambda raw: raw.update(robot_rate_hz=raw["robot_rate_hz"] + 0.5))
         return
+    elif kind in ("camera-not-string", "cameras-string"):
+        # the camera's frame file renamed to match the id that replaces it
+        new = 5 if kind == "camera-not-string" else "o"
+        os.rename(ep_dir / name, ep_dir / f"frames_{new}.bin")
+
+        def rename(raw):
+            raw["files"][f"frames_{new}.bin"] = raw["files"].pop(name)
+            cameras = [new if c == camera else c for c in raw["cameras"]]
+            raw["cameras"] = cameras if kind == "camera-not-string" else new
+
+        _edit_manifest(ep_dir, rename)
+        return
+    elif kind == "episode-id-null":
+        _edit_manifest(ep_dir, lambda raw: raw.update(episode_id=None))
+        return
+    elif kind == "format-version-true":
+        _edit_manifest(ep_dir, lambda raw: raw.update(format_version=True))
+        return
+    elif kind == "stamp-bytes-float":
+        stamp = ("leader.f64", "follower.f64", name)[pick[2] % 3]
+        _edit_manifest(ep_dir, lambda raw: raw["files"][stamp].update(
+            bytes=float(raw["files"][stamp]["bytes"])))
+        return
     else:
         return  # empty payloads, as written: the readers accept them
     _restamp(ep_dir, name, blob)
@@ -254,6 +293,8 @@ def _damage_dataset(ds, kind, sizes):
         _edit_manifest(ds, lambda raw: raw["episodes"][entry].update(joints=joints))
     elif kind == "offset-fraction":
         _edit_manifest(ds, lambda raw: raw["episodes"][entry].update(offset=-0.1))
+    elif kind == "entry-source-not-string":
+        _edit_manifest(ds, lambda raw: raw["episodes"][entry].update(source_episode_id=None))
     elif kind == "source-stored-twice":
         per_source = len(raw["episodes"]) // sizes["sources"]
         source = pick[2] % sizes["sources"]

@@ -10,8 +10,11 @@ stays, so that the cases drawn after it keep their draws.  The exit code, stdout
 `--report` of `multirate validate`, with the case's temporary root replaced
 by a fixed token, are hashed and compared with tests/golden_validate.json.
 
-`MULTIRATE_REGEN_GOLDEN=1` rewrites that file.  A digest that changes is a
-change to what validate prints or reports, and needs a reason.
+`multirate stats` on each case's dataset is pinned the same way, in
+tests/golden_validate_stats.json: what the reader accepts, stats summarises.
+
+`MULTIRATE_REGEN_GOLDEN=1` rewrites both files.  A digest that changes is a
+change to what validate or stats prints or reports, and needs a reason.
 """
 
 import dataclasses
@@ -33,6 +36,7 @@ from multirate.model import Method, RobotStream, make_offsets
 from conftest import make_episode
 
 GOLDEN = Path(__file__).with_name("golden_validate.json")
+STATS_GOLDEN = Path(__file__).with_name("golden_validate_stats.json")
 TOKEN = "<root>"
 
 CLEAN = ("clean", "clean-via-sources", "source-missing")
@@ -182,30 +186,48 @@ def _build(root, kind, method, sizes):
     return []
 
 
-def _run(root, kind, method, sizes, capsys):
-    extra = _build(root, kind, method, sizes)
-    report = root / "report.json"
+def _run(root, command, argv, capsys):
+    """The command's exit code, stdout, stderr and report, the case's root replaced."""
+    report = root / f"{command}.json"
     capsys.readouterr()
-    rc = main(["validate", str(root / "ds"), "--report", str(report), *extra])
+    rc = main([command, str(root / "ds"), "--report", str(report), *argv])
     out, err = capsys.readouterr()
-    text = report.read_text()
+    text = report.read_text() if report.exists() else None
     for spelling in {str(root.resolve()), str(root)}:
-        out, err, text = (s.replace(spelling, TOKEN) for s in (out, err, text))
+        out, err = out.replace(spelling, TOKEN), err.replace(spelling, TOKEN)
+        text = text and text.replace(spelling, TOKEN)
     return rc, out, err, text
+
+
+def _compare(golden_path, digests, outputs):
+    if os.environ.get("MULTIRATE_REGEN_GOLDEN") == "1":
+        golden_path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    golden = json.loads(golden_path.read_text())
+    changed = sorted(n for n in golden.keys() | digests.keys() if golden.get(n) != digests.get(n))
+    assert not changed, "\n".join(f"{n}:\n{outputs.get(n, '(no such case)')}" for n in changed)
 
 
 def test_validate_outputs_match_their_golden_digests(tmp_path, capsys):
     digests, outputs = {}, {}
     for name, kind, method, sizes in _cases():
-        rc, out, err, report = _run(tmp_path / name, kind, method, sizes, capsys)
+        extra = _build(tmp_path / name, kind, method, sizes)
+        rc, out, err, report = _run(tmp_path / name, "validate", extra, capsys)
         # every other case reaches the source rows: the reader accepts what was damaged
         assert ("ok   read: " in out) == (kind not in READ_REFUSED), (name, out)
         assert rc == (0 if kind in CLEAN else 1), (name, out, err)
         blob = json.dumps([rc, out, err, report]).encode()
         digests[name] = hashlib.sha256(blob).hexdigest()
         outputs[name] = out
-    if os.environ.get("MULTIRATE_REGEN_GOLDEN") == "1":
-        GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    golden = json.loads(GOLDEN.read_text())
-    changed = sorted(n for n in golden.keys() | digests.keys() if golden.get(n) != digests.get(n))
-    assert not changed, "\n".join(f"{n}:\n{outputs.get(n, '(no such case)')}" for n in changed)
+    _compare(GOLDEN, digests, outputs)
+
+
+def test_stats_outputs_match_their_golden_digests(tmp_path, capsys):
+    digests, outputs = {}, {}
+    for name, kind, method, sizes in _cases():
+        _build(tmp_path / name, kind, method, sizes)
+        result = _run(tmp_path / name, "stats", [], capsys)
+        # stats reads no source episode: it fails only where the reader refuses the dataset
+        assert result[0] == (1 if kind in READ_REFUSED else 0), (name, result)
+        digests[name] = hashlib.sha256(json.dumps(result).encode()).hexdigest()
+        outputs[name] = result
+    _compare(STATS_GOLDEN, digests, outputs)

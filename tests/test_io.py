@@ -302,6 +302,55 @@ def test_an_unreadable_payload_is_an_io_failure(tmp_path, episode, monkeypatch):
     assert str(exc.value) == f"cannot read {path}: [Errno 13] Permission denied: '{path}'"
 
 
+def test_a_read_that_fails_after_the_open_is_an_io_failure(tmp_path, episode, monkeypatch):
+    d = write_episode(episode, tmp_path / "ep").parent
+
+    def failing(fd, size):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(io.os, "read", failing)
+    with pytest.raises(IoFailure) as exc:
+        read_episode(d)
+    assert str(exc.value) == f"cannot read {d / 'follower.f64'}: [Errno 5] Input/output error"
+
+
+def test_a_manifest_that_cannot_be_read_is_an_io_failure(tmp_path, episode, monkeypatch):
+    manifest = write_episode(episode, tmp_path / "ep")
+
+    def failing(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", failing)
+    with pytest.raises(IoFailure) as exc:
+        load_manifest(manifest.parent)
+    assert str(exc.value) == (
+        f"cannot read {manifest}: [Errno 13] Permission denied: '{manifest}'"
+    )
+
+
+def test_a_write_under_a_regular_file_is_an_io_failure(tmp_path, episode):
+    (tmp_path / "plain").write_text("x")
+    target = tmp_path / "plain" / "ep"
+    with pytest.raises(IoFailure) as exc:
+        write_episode(episode, target)
+    assert str(exc.value) == (
+        f"cannot create parent of {target}: [Errno {errno.EEXIST}] "
+        f"{os.strerror(errno.EEXIST)}: '{tmp_path / 'plain'}'"
+    )
+    assert (tmp_path / "plain").read_text() == "x"
+
+
+def test_a_lock_name_past_the_name_limit_is_an_io_failure(tmp_path, episode):
+    target = tmp_path / ("e" * 251)  # a name the file system takes, but not with ".lock"
+    with pytest.raises(IoFailure) as exc:
+        write_episode(episode, target)
+    assert str(exc.value) == (
+        f"cannot create lock for {target}: [Errno {errno.ENAMETOOLONG}] "
+        f"{os.strerror(errno.ENAMETOOLONG)}: '{target}.lock'"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_undeclared_episode_count_is_rejected(tmp_path, episode):
     """Manifest says dabi at ratio 10 but lists only 9 sub-episodes."""
     ds = augment([episode], Method.DABI)
@@ -360,6 +409,87 @@ def test_unknown_format_version_is_rejected(tmp_path, episode):
     with pytest.raises(ParseFailure) as exc:
         read_episode(manifest)
     assert "99" in str(exc.value)
+
+
+# each JSON value a reader takes is of one kind: a string is not coerced from null or a
+# number, a camera list is not a string, and a stamp's size is an integer
+EPISODE_JSON_KINDS = {
+    "episode-id-null": (
+        lambda raw: raw.update(episode_id=None), ParseFailure,
+        "bad episode manifest: TypeError('episode_id must be a string, got None')",
+    ),
+    "cameras-string": (
+        lambda raw: raw.update(cameras="a"), ParseFailure,
+        "bad episode manifest: TypeError(\"cameras must be an array of strings, got 'a'\")",
+    ),
+    "camera-number": (
+        lambda raw: raw.update(cameras=["a", 5]), ParseFailure,
+        "bad episode manifest: TypeError(\"cameras must be an array of strings, got ['a', 5]\")",
+    ),
+    "meta-value-number": (
+        lambda raw: raw.update(meta={"task": 5}), ParseFailure,
+        "bad episode manifest: TypeError('task must be a string, got 5')",
+    ),
+    "format-version-true": (
+        lambda raw: raw.update(format_version=True), ParseFailure,
+        "{manifest}: unsupported format_version True (this build reads 1)",
+    ),
+    "format-version-float": (
+        lambda raw: raw.update(format_version=1.0), ParseFailure,
+        "{manifest}: unsupported format_version 1.0 (this build reads 1)",
+    ),
+    "stamp-bytes-float": (
+        lambda raw: raw["files"]["leader.f64"].update(bytes=6840.0), ChecksumMismatch,
+        "{dir}/leader.f64: size 6840 != declared 6840.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EPISODE_JSON_KINDS))
+def test_episode_reader_takes_each_json_value_of_one_kind(tmp_path, episode, case):
+    change, error, message = EPISODE_JSON_KINDS[case]
+    manifest = write_episode(episode, tmp_path / "ep")
+    raw = json.loads(manifest.read_text())
+    change(raw)
+    manifest.write_text(json.dumps(raw))
+    with pytest.raises(error) as exc:
+        read_episode(manifest)
+    assert str(exc.value) == message.format(manifest=manifest, dir=manifest.parent)
+
+
+DATASET_JSON_KINDS = {
+    "method-number": (
+        lambda raw: raw.update(method=5), "TypeError('method must be a string, got 5')",
+    ),
+    "source-ids-numbers": (
+        lambda raw: raw.update(source_episode_ids=[0]),
+        "TypeError('source_episode_ids must be an array of strings, got [0]')",
+    ),
+    "entry-source-number": (
+        lambda raw: raw["episodes"][0].update(source_episode_id=0),
+        "bad episode entry: TypeError('source_episode_id must be a string, got 0')",
+    ),
+    "entry-file-number": (
+        lambda raw: raw["episodes"][0].update(file=0),
+        "bad episode entry: TypeError('file must be a string, got 0')",
+    ),
+    "entry-cameras-string": (
+        lambda raw: raw["episodes"][0].update(cameras="a"),
+        "bad episode entry: TypeError(\"cameras must be an array of strings, got 'a'\")",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_JSON_KINDS))
+def test_dataset_reader_takes_each_json_value_of_one_kind(tmp_path, episode, case):
+    change, message = DATASET_JSON_KINDS[case]
+    manifest = write_dataset(augment([episode], Method.DABI), tmp_path / "ds")
+    raw = json.loads(manifest.read_text())
+    change(raw)
+    manifest.write_text(json.dumps(raw))
+    with pytest.raises(ParseFailure) as exc:
+        read_dataset(manifest)
+    assert str(exc.value) == f"{manifest}: {message}"
 
 
 def test_kind_mismatch_is_rejected(tmp_path, episode):

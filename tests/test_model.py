@@ -21,6 +21,7 @@ from multirate.model import (
     Provenance,
     RobotStream,
     exact_ratio,
+    is_plain_name,
     make_offsets,
     step_dtype,
 )
@@ -118,6 +119,14 @@ def test_frame_stream_requires_contiguous_seqs():
     recs = (FrameRecord(seq=0, payload=b"a"), FrameRecord(seq=2, payload=b"b"))
     with pytest.raises(ValidationFailure):
         FrameStream(camera_id="cam", rate_hz=10, records=recs)
+
+
+@pytest.mark.parametrize("name", [5, None, b"cam", ["cam"]])
+def test_a_camera_id_that_is_not_a_string_is_refused(name):
+    assert not is_plain_name(name)
+    with pytest.raises(ValidationFailure) as exc:
+        FrameStream(name, 10, [FrameRecord(0, b"")])
+    assert str(exc.value) == f"camera_id {name!r} must be a non-empty name without path parts"
 
 
 def test_frame_stream_holds_its_packed_frame_file():

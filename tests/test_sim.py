@@ -432,8 +432,20 @@ def test_sim_config_refusals_name_their_rule(case):
     (lambda raw: {**raw, "disturbances": [{"joint": "0", "start_s": 0.1, "end_s": 0.2,
                                             "torque": 0.1}]},
      "bad simulation config: TypeError(\"joint must be an integer, got '0'\")"),
+    (lambda raw: {**raw, "joints": [{"inertia": "0.02"}]},
+     "bad simulation config: TypeError(\"inertia must be a number, got '0.02'\")"),
+    (lambda raw: {**raw, "gains": {**raw["gains"], "kd": False}},
+     "bad simulation config: TypeError('kd must be a number, got False')"),
+    (lambda raw: {**raw, "duration_s": 10**400},
+     "bad simulation config: OverflowError('int too large to convert to float')"),
+    (lambda raw: {**raw, "dt": "0.001"},
+     "bad simulation config: TypeError(\"dt must be a number, got '0.001'\")"),
+    (lambda raw: {**raw, "disturbances": [{"joint": 0, "start_s": 0.1, "end_s": 0.2,
+                                            "torque": 0.1, "arm": None}]},
+     "bad simulation config: TypeError('arm must be a string, got None')"),
 ], ids=["not-an-object", "seed-fraction", "robot-rate-fraction", "frame-rate-true",
-        "joint-string"])
+        "joint-string", "inertia-string", "gain-false", "duration-past-float", "dt-string",
+        "arm-null"])
 def test_load_sim_config_refuses(tmp_path, change, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(change(sim_config_to_dict(default_sim_config()))))
