@@ -362,7 +362,7 @@ def read_episode(
         frame_count = _json_int(raw, "frame_count")
         cameras = _json_strs(raw, "cameras")
         meta = raw.get("meta", {})
-        meta = {k: _json_str(meta, k) for k in meta.keys()}
+        meta = {k: _json_str(meta, k) for k in meta.keys()}  # keys(): a list fails here
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad episode manifest: {exc!r}") from exc
     leader, follower = (

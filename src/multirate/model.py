@@ -233,7 +233,7 @@ def frame_records(packed: bytes) -> tuple[np.ndarray, np.ndarray]:
             # row k of this view is the header at byte k * record, inside `packed` by the tiling
             heads = np.ndarray((count, 2), "<u8", packed, strides=(record, 8))
             if not np.count_nonzero(heads[:, 1] != record - FRAME_HEADER.size):
-                return FRAME_HEADER.size + record * np.arange(count, dtype=np.int64), heads[:, 0]
+                return np.arange(FRAME_HEADER.size, end + 1, record, dtype=np.int64), heads[:, 0]
     # a record's place depends on every length before it, so the headers are walked
     starts, seqs, pos = [], [], 0
     while pos < end:
