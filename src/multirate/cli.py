@@ -623,7 +623,3 @@ def main(argv: list[str] | None = None) -> int:
             raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,6 +19,7 @@ import zlib
 from collections import namedtuple
 from collections.abc import Iterator
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -262,11 +263,11 @@ def verify_checksums(directory: str | Path, manifest: dict) -> dict[str, bytes]:
     return {name: _verified(directory, files, name) for name in sorted(files)}
 
 
-def _payload(payloads: dict[str, bytes], directory: Path, name: str) -> bytes:
-    """The verified bytes of `name`; undeclared names never reach the disk."""
-    if name not in payloads:
+def _declared(table: dict, directory: Path, name: str) -> Any:
+    """table[name] of a files table or of its verified payloads; undeclared names are refused."""
+    if name not in table:
         raise ParseFailure(f"{directory}/manifest.json: {name} is not declared in files")
-    return payloads[name]
+    return table[name]
 
 
 def _open_manifest(path: str | Path, kind: str, manifest: dict | None) -> tuple[Path, dict]:
@@ -308,7 +309,7 @@ def _parse_robot(
     payloads: dict[str, bytes], directory: Path, name: str, sample_count: int, joints: int,
     rate_hz: int,
 ) -> RobotStream:
-    data = _payload(payloads, directory, name)
+    data = _declared(payloads, directory, name)
     width = joints * CHANNELS_PER_JOINT
     expected = sample_count * width * 8
     if len(data) != expected:
@@ -326,7 +327,7 @@ def _parse_frames(
     payloads: dict[str, bytes], directory: Path, camera_id: str, rate_hz: int, frame_count: int
 ) -> FrameStream:
     name = f"frames_{camera_id}.bin"
-    data = _payload(payloads, directory, name)
+    data = _declared(payloads, directory, name)
     try:
         starts, seqs = frame_records(data)
     except ParseFailure as exc:
@@ -399,9 +400,7 @@ def _parse_entry(directory: Path, files: dict, entry: object) -> _Entry:
         step_dtype(parsed.joints)  # a joint count no step can have: below one, or too large
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"{directory}/manifest.json: bad episode entry: {exc!r}") from exc
-    # only declared names, all plain, are read: path-like names fail here
-    if parsed.file not in files:
-        raise ParseFailure(f"{directory}/manifest.json: {parsed.file} is not declared in files")
+    _declared(files, directory, parsed.file)  # only declared names, all plain, are read
     return parsed
 
 

@@ -34,11 +34,10 @@ class Method(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Method":
         try:
-            return cls(name.lower())
+            return cls(name)
         except ValueError:
             raise ValidationFailure(
-                f"unknown method {name!r}; expected one of "
-                + ", ".join(m.value for m in cls)
+                f"unknown method {name!r}; expected one of {', '.join(m.value for m in cls)}"
             ) from None
 
 
@@ -50,16 +49,21 @@ def make_offsets(method: Method, ratio: int) -> tuple[int, ...]:
       dabi        window centred on the anchor, biased   offsets {-(R-1)//2 ..
                   forward when R - 1 is odd                       R-1 - (R-1)//2}
     """
+    return tuple(_window(method, ratio))
+
+
+def _window(method: Method, ratio: int) -> range:
+    """make_offsets' window as a range: its size is known before anything is built."""
     if ratio < 1:
         raise ValidationFailure(f"ratio must be >= 1, got {ratio}")
     between = ratio - 1  # samples strictly between adjacent frame anchors
     if method is Method.DOWNSAMPLE:
-        return (0,)
+        return range(1)
     if method is Method.FORWARD:
-        return tuple(range(ratio))
+        return range(ratio)
     if method is Method.DABI:
         back = between // 2
-        return tuple(range(-back, between - back + 1))
+        return range(-back, between - back + 1)
     raise ValidationFailure(f"unknown method {method!r}")
 
 
@@ -115,6 +119,14 @@ def is_plain_name(name: str) -> bool:
         isinstance(name, str) and name not in ("", ".", "..") and "/" not in name
         and "\\" not in name
     )
+
+
+def _check_camera_id(camera_id: str) -> None:
+    """Raise ValidationFailure unless `camera_id` can name a `frames_<camera_id>.bin` file."""
+    if not is_plain_name(camera_id):
+        raise ValidationFailure(
+            f"camera_id {camera_id!r} must be a non-empty name without path parts"
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,10 +302,7 @@ class FrameStream:
     def _hold(
         self, camera_id: str, rate_hz: int, packed: bytes, starts: np.ndarray, seqs: np.ndarray
     ) -> None:
-        if not is_plain_name(camera_id):
-            raise ValidationFailure(
-                f"camera_id {camera_id!r} must be a non-empty name without path parts"
-            )
+        _check_camera_id(camera_id)
         if rate_hz < 1:
             raise ValidationFailure(f"frame rate must be >= 1 Hz, got {rate_hz}")
         if len(starts) < 1:
@@ -508,8 +517,7 @@ class DatasetManifest:
         object.__setattr__(
             self, "source_episode_ids", tuple(self.source_episode_ids)
         )
-        if self.ratio < 1:
-            raise ValidationFailure(f"ratio must be >= 1, got {self.ratio}")
+        _window(self.method, self.ratio)  # the method's window exists at this ratio
         if len(self.source_episode_ids) < 1:
             raise ValidationFailure("dataset needs at least one source episode id")
         if len(set(self.source_episode_ids)) != len(self.source_episode_ids):
@@ -528,7 +536,7 @@ def source_groups(
     all with the first one's joint count, and each source's offsets, sorted,
     are that window.  Their order is left to validate.
     """
-    window = make_offsets(manifest.method, manifest.ratio)
+    window = _window(manifest.method, manifest.ratio)
     expected = len(window) * len(manifest.source_episode_ids)
     if len(entries) != expected:
         raise ValidationFailure(
@@ -547,7 +555,7 @@ def source_groups(
         groups[src].append(i)
     for src, places in groups.items():
         offsets = sorted(entries[i][1] for i in places)
-        if tuple(offsets) != window:
+        if offsets != list(window):  # no longer than `entries`, as the count matched
             raise ValidationFailure(f"source {src}: offsets {offsets} != expected {list(window)}")
     return groups
 

@@ -26,7 +26,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalDivergence, ParseFailure, ValidationFailure
-from .model import Episode, FrameStream, RobotStream, _json_float, _json_int, _json_str
+from .model import Episode, FrameStream, RobotStream, _check_camera_id, exact_ratio
+from .model import _json_float, _json_int, _json_str
 
 STATE_LIMIT = 1.0e6  # rad or rad/s; beyond this the run is declared divergent
 
@@ -122,13 +123,7 @@ class SimConfig:
         object.__setattr__(self, "cameras", tuple(self.cameras))
         if len(self.joints) < 1:
             raise ValidationFailure("need at least one joint")
-        if self.robot_rate_hz < 1 or self.frame_rate_hz < 1:
-            raise ValidationFailure("rates must be >= 1 Hz")
-        if self.robot_rate_hz % self.frame_rate_hz != 0:
-            raise ValidationFailure(
-                f"robot rate {self.robot_rate_hz} must be an integer multiple of "
-                f"frame rate {self.frame_rate_hz}"
-            )
+        exact_ratio(self.robot_rate_hz, self.frame_rate_hz)
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValidationFailure(f"duration must be > 0, got {self.duration_s}")
         n = self.duration_s * self.robot_rate_hz
@@ -153,6 +148,8 @@ class SimConfig:
                 )
         if len(set(self.cameras)) != len(self.cameras) or not self.cameras:
             raise ValidationFailure(f"cameras must be unique and non-empty, got {self.cameras}")
+        for camera in self.cameras:
+            _check_camera_id(camera)
 
     @property
     def joint_count(self) -> int:

@@ -3,6 +3,7 @@ import errno
 import importlib.metadata
 import json
 import os
+import runpy
 import shutil
 import struct
 import subprocess
@@ -839,6 +840,20 @@ def test_installed_console_entrypoint_matches_declaration():
     dist = importlib.metadata.distribution("multirate")
     installed = {e.name: e.value for e in dist.entry_points if e.group == "console_scripts"}
     assert installed == _declared_scripts()
+
+
+def test_python_dash_m_multirate_runs_the_command_line(tmp_path, monkeypatch, capsys):
+    # `python -m multirate` in this process: the package's __main__ is the one module entry
+    root, eps = _write_episode_tree(tmp_path)
+    ds = tmp_path / "ds"
+    assert main(["augment", str(root), "--method", "dabi", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["multirate", "stats", str(ds)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("multirate", run_name="__main__", alter_sys=True)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert "method: dabi" in out and err == ""
 
 
 def _validate_rows(out, tmp_path, *extra):

@@ -16,7 +16,8 @@ with a fraction and as `true`, an entry's offset of -0.1, a source stored
 twice and another not at all, and an episode robot rate with a fraction; then
 JSON values of the wrong kind: a camera id that is a number (its file renamed to
 match), a camera list that is a string, a null episode id, a format_version of
-`true`, a stamp size written as a float, and an entry source id that is null.  Payload
+`true`, a stamp size written as a float, and an entry source id that is null; then a
+dataset method with its first letter capitalised, which names no method.  Payload
 damage is restamped (size and crc32) unless the damage is to the stamp's own
 bytes, so the parsers, not the checksums, decide.  A few cases are sound (frame files
 whose payloads are all empty), and pin that the readers accept them.
@@ -99,6 +100,8 @@ JSON_KIND_DAMAGES = (
     "stamp-bytes-float",
     "entry-source-not-string",
 )
+# added after the kinds above
+METHOD_CASE_DAMAGES = ("method-case",)
 EPISODE_KINDS = EPISODE_DAMAGES + ("robot-rate-fraction",) + JSON_KIND_DAMAGES[:-1]
 NAN = 0x7FF8_0000_0000_0001  # a quiet NaN with a payload bit, so no float op made it
 
@@ -110,11 +113,10 @@ def _cases():
     records of mixed lengths and augments with forward.
     """
     rng = np.random.default_rng(20261021)
-    kinds = [
-        (k, v)
-        for k in EPISODE_DAMAGES + DATASET_DAMAGES + LATER_DAMAGES + JSON_KIND_DAMAGES
-        for v in (0, 1)
-    ]
+    damages = (
+        EPISODE_DAMAGES + DATASET_DAMAGES + LATER_DAMAGES + JSON_KIND_DAMAGES + METHOD_CASE_DAMAGES
+    )
+    kinds = [(k, v) for k in damages for v in (0, 1)]
     for i, (kind, variant) in enumerate(kinds):
         ratio = int(rng.integers(2, 7))
         frames = 1 if "one-frame" in kind else int(rng.integers(2, 7))
@@ -295,6 +297,8 @@ def _damage_dataset(ds, kind, sizes):
         _edit_manifest(ds, lambda raw: raw["episodes"][entry].update(offset=-0.1))
     elif kind == "entry-source-not-string":
         _edit_manifest(ds, lambda raw: raw["episodes"][entry].update(source_episode_id=None))
+    elif kind == "method-case":
+        _edit_manifest(ds, lambda raw: raw.update(method=raw["method"].capitalize()))
     elif kind == "source-stored-twice":
         per_source = len(raw["episodes"]) // sizes["sources"]
         source = pick[2] % sizes["sources"]

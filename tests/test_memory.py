@@ -5,7 +5,9 @@ augment one source and its sub-episodes at a time; validate one source and its
 sub-episodes at a time; stats one copy of the observations and one source's
 sub-episodes at a time.  The bounds leave room for np.take's buffer and small
 objects, but not for the dataset, a second source or a second source's
-sub-episodes, nor for a copy of every seed's streams.
+sub-episodes, nor for a copy of every seed's streams.  A dataset whose manifest
+ratio is far past its entries is refused within the sound dataset's bounds: the
+readers compare the entry count with the window's size before any window is built.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ def _payload_bytes(directory):
     return sum(f["bytes"] for f in json.loads((directory / "manifest.json").read_text())["files"].values())
 
 
-def _peak(argv, capsys):
+def _peak(argv, capsys, status=0):
     capsys.readouterr()
     tracemalloc.start()
     try:
@@ -37,7 +39,7 @@ def _peak(argv, capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rc == 0, capsys.readouterr()
+    assert rc == status, capsys.readouterr()
     return peak
 
 
@@ -81,23 +83,46 @@ def test_augment_holds_one_source_and_its_block(sources, capsys):
     assert peak < largest + 1.6 * _block(LENGTHS[0])
 
 
+def _validate_bound(sources):
+    largest = _payload_bytes(sources / "ep-0")
+    # 0.75 of a block: the gather's and coverage's buffers fit (0.31 on CPython 3.11, numpy
+    # 2.4), the next source's sub-episodes read while this source's are held do not
+    return largest + 1.75 * _block(LENGTHS[0])
+
+
+def _stats_bound():
+    steps = sum(_block(t) for t in LENGTHS) // step_dtype(JOINTS).itemsize
+    columns = steps * 3 * JOINTS * 8
+    # 0.35 of a block: the clamp count's index arrays fit (0.16 on CPython 3.11, numpy 2.4),
+    # the next source's sub-episodes read while this source's are held do not
+    return columns + 1.35 * _block(LENGTHS[0])
+
+
 def test_validate_holds_one_source_and_its_sub_episodes(sources, capsys):
     out = sources.parent / "ds-validate"
     assert main(["augment", str(sources), "--method", "dabi", "--out", str(out)]) == 0
     peak = _peak(["validate", str(out)], capsys)
     assert "re-derived 40 sub-episodes from 4 sources" in capsys.readouterr().out
-    largest = _payload_bytes(sources / "ep-0")
-    # 0.75 of a block: the gather's and coverage's buffers fit (0.31 on CPython 3.11, numpy
-    # 2.4), the next source's sub-episodes read while this source's are held do not
-    assert peak < largest + 1.75 * _block(LENGTHS[0])
+    assert peak < _validate_bound(sources)
 
 
 def test_stats_holds_the_observations_and_one_source_block(sources, capsys):
     out = sources.parent / "ds-stats"
     assert main(["augment", str(sources), "--method", "dabi", "--out", str(out)]) == 0
     peak = _peak(["stats", str(out)], capsys)
-    steps = sum(_block(t) for t in LENGTHS) // step_dtype(JOINTS).itemsize
-    columns = steps * 3 * JOINTS * 8
-    # 0.35 of a block: the clamp count's index arrays fit (0.16 on CPython 3.11, numpy 2.4),
-    # the next source's sub-episodes read while this source's are held do not
-    assert peak < columns + 1.35 * _block(LENGTHS[0])
+    assert peak < _stats_bound()
+
+
+def test_a_ratio_far_past_the_entries_is_refused_before_its_window_is_built(sources, capsys):
+    out = sources.parent / "ds-ratio"
+    assert main(["augment", str(sources), "--method", "dabi", "--out", str(out)]) == 0
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["ratio"] = 10**7  # a window of 10**7 offsets: 400 MB traced, built as a tuple of ints
+    (out / "manifest.json").write_text(json.dumps(raw))
+    message = "dataset holds 40 sub-episodes, expected 40000000 (10000000 per source x 4 sources)"
+    peak = _peak(["validate", str(out)], capsys, status=1)
+    assert f"FAIL read: ValidationFailure: {message}\n" in capsys.readouterr().out
+    assert peak < _validate_bound(sources)
+    peak = _peak(["stats", str(out)], capsys, status=1)
+    assert capsys.readouterr().err == f"error: ValidationFailure: {message}\n"
+    assert peak < _stats_bound()

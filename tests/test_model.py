@@ -330,9 +330,13 @@ def test_episode_equality_is_by_content():
 
 def test_method_from_name():
     assert Method.from_name("dabi") is Method.DABI
-    assert Method.from_name("Forward") is Method.FORWARD
-    with pytest.raises(ValidationFailure):
-        Method.from_name("nearest")
+    # names are the exact values docs/format.md lists: no case folding
+    for name in ("Forward", "nearest"):
+        with pytest.raises(ValidationFailure) as exc:
+            Method.from_name(name)
+        assert str(exc.value) == (
+            f"unknown method {name!r}; expected one of downsample, forward, dabi"
+        )
 
 
 def _rows(joints, steps=2, index_type="<u8", obs_width=None, act_width=None):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from multirate.errors import NumericalDivergence, ParseFailure, ValidationFailure
+from multirate.errors import NonIntegerRatio, NumericalDivergence, ParseFailure, ValidationFailure
 from multirate.sim import (
     OPERATOR_KD,
     OPERATOR_KP,
@@ -395,7 +395,8 @@ SIM_REFUSALS = {
         "disturbance arm must be leader|follower, got 'both'",
     ),
     "rate-below-one": (
-        lambda: dataclasses.replace(default_sim_config(), frame_rate_hz=0), "rates must be >= 1 Hz"
+        lambda: dataclasses.replace(default_sim_config(), frame_rate_hz=0),
+        "rates must be positive, got robot=1000 frame=0",
     ),
     "duration-zero": (
         lambda: dataclasses.replace(default_sim_config(), duration_s=0.0),
@@ -404,6 +405,10 @@ SIM_REFUSALS = {
     "cameras-repeated": (
         lambda: dataclasses.replace(default_sim_config(), cameras=("wrist", "wrist")),
         "cameras must be unique and non-empty, got ('wrist', 'wrist')",
+    ),
+    "camera-not-plain": (
+        lambda: dataclasses.replace(default_sim_config(), cameras=("a/b",)),
+        "camera_id 'a/b' must be a non-empty name without path parts",
     ),
     "gravity-hook-to-json": (
         lambda: sim_config_to_dict(dataclasses.replace(
@@ -419,6 +424,13 @@ def test_sim_config_refusals_name_their_rule(case):
     with pytest.raises(ValidationFailure) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_sim_config_rates_follow_the_episode_rule():
+    # one rule for configs and episodes: a frame rate that does not divide the robot rate
+    with pytest.raises(NonIntegerRatio) as exc:
+        SimConfig(joints=JOINT, robot_rate_hz=1000, frame_rate_hz=300)
+    assert str(exc.value) == "robot rate 1000 Hz is not an integer multiple of frame rate 300 Hz"
 
 
 @pytest.mark.parametrize("change, message", [

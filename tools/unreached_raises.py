@@ -10,7 +10,9 @@ Standard library and pytest only; run it by hand from the repository root:
 
     python tools/unreached_raises.py [extra pytest arguments]
 
-Tracing makes the suite several times slower.  The exit status is pytest's.
+Tracing makes the suite several times slower.  The exit status is pytest's when
+that is not 0; otherwise it is 1 when any `raise` is listed, so that a CI step
+running the script fails on a refusal branch no test reaches.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def main(argv: list[str]) -> int:
         print(f"{path}:{line}: {text}")
     total = sum(len(raises) for raises in files.values())
     print(f"{len(unreached)} of {total} raise statements never ran (pytest exit status {status})")
-    return int(status)
+    return int(status) or int(bool(unreached))
 
 
 if __name__ == "__main__":
